@@ -15,6 +15,8 @@
 package cosched
 
 import (
+	"fmt"
+	"path/filepath"
 	"testing"
 
 	"cosched/internal/campaign"
@@ -453,6 +455,102 @@ func BenchmarkCampaignThroughputAdaptive(b *testing.B) {
 		b.ReportMetric(float64(budget-units)/float64(budget), "reps_saved")
 	}
 }
+
+// journalSpec is the `campaign -example` grid (platform size × MTBF,
+// n=10, four policies, Weibull k=0.7) at 20 replicates: 120 units of a
+// few hundred microseconds each, the unit mix the durable daemon serves.
+func journalSpec() scenario.Spec {
+	w := workload.Default()
+	w.N = 10
+	w.P = 100
+	w.MTBFYears = 10
+	return scenario.Spec{
+		Name:       "bench-journal",
+		Workload:   w,
+		Failure:    scenario.FailureSpec{Law: "weibull", Shape: 0.7},
+		Policies:   []string{"norc", "ig-el", "stf-el", "ff-el"},
+		Base:       "norc",
+		Replicates: 20,
+		Seed:       1,
+		Axes: []scenario.Axis{
+			{Param: scenario.ParamP, Values: []float64{40, 80, 160}},
+			{Param: scenario.ParamMTBF, Values: []float64{5, 20}},
+		},
+	}
+}
+
+// benchManifestAppend measures one blocking Manifest.AppendUnit: the
+// record's encode and write, plus — in sync mode — waiting for the
+// group-commit fsync that covers it.
+func benchManifestAppend(b *testing.B, sync bool) {
+	sp := journalSpec()
+	man, err := campaign.OpenManifest(filepath.Join(b.TempDir(), "bench.manifest"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer man.Close()
+	man.SetSync(sync)
+	if _, err := man.Restore(sp, len(sp.Policies), func(int, []float64) {}, nil); err != nil {
+		b.Fatal(err)
+	}
+	units := 6 * sp.Replicates
+	vals := []float64{1234.5678, 1100.25, 1050.125, 990.0625}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Unit indices repeat past the journal's range; restore is never
+		// run on this file, so only the append cost is measured.
+		if err := man.AppendUnit(i%units, vals); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkManifestAppendSync is a durable append: write plus fsync wait.
+func BenchmarkManifestAppendSync(b *testing.B) { benchManifestAppend(b, true) }
+
+// BenchmarkManifestAppendNoSync is a buffered append: write only.
+func BenchmarkManifestAppendNoSync(b *testing.B) { benchManifestAppend(b, false) }
+
+// benchCampaignJournal runs journalSpec once per iteration, with a fresh
+// synced manifest when journaled, and reports units/s. The
+// BenchmarkCampaignThroughputSynced ÷ BenchmarkCampaignThroughputUnjournaled
+// time ratio is what durability costs a campaign end to end.
+func benchCampaignJournal(b *testing.B, journaled bool) {
+	sp := journalSpec()
+	dir := b.TempDir()
+	units := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt := campaign.Options{}
+		if journaled {
+			man, err := campaign.OpenManifest(filepath.Join(dir, fmt.Sprintf("run-%d.manifest", i)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			man.SetSync(true)
+			opt.Manifest = man
+		}
+		res, err := campaign.Run(sp, opt)
+		if opt.Manifest != nil {
+			opt.Manifest.Close()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		units += res.Units()
+	}
+	b.ReportMetric(float64(units)/b.Elapsed().Seconds(), "units/s")
+}
+
+// BenchmarkCampaignThroughputSynced runs the campaign against an fsync'd
+// manifest, as the daemon always does.
+func BenchmarkCampaignThroughputSynced(b *testing.B) { benchCampaignJournal(b, true) }
+
+// BenchmarkCampaignThroughputUnjournaled is the same campaign without a
+// manifest: the baseline the synced run is compared with.
+func BenchmarkCampaignThroughputUnjournaled(b *testing.B) { benchCampaignJournal(b, false) }
 
 // BenchmarkEngineSingleRun measures one full simulated execution at the
 // paper's default dimensions divided by ten (n=10, p=100, MTBF 10y),

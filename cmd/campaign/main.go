@@ -60,7 +60,7 @@ func realMain() error {
 		csvPath      = flag.String("csv", "", "write the result table as CSV to this file")
 		quantPath    = flag.String("quantiles", "", "write per-cell p50/p95 makespan quantiles as CSV to this file")
 		manifest     = flag.String("manifest", "", "resumable journal of completed units (reused on restart)")
-		manifestSync = flag.Bool("manifest-sync", false, "fsync the manifest after every completed unit (journal survives machine crashes, at one fsync per unit)")
+		manifestSync = flag.Bool("manifest-sync", false, "fsync the manifest before a unit counts as done (journal survives machine crashes; group-committed, so one fsync covers every unit written before it)")
 		printSpec    = flag.Bool("print-spec", false, "print the resolved spec as JSON and exit without running")
 		example      = flag.Bool("example", false, "print an example scenario spec and exit")
 		quiet        = flag.Bool("quiet", false, "suppress the ASCII chart and progress")

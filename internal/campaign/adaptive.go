@@ -51,7 +51,7 @@ func (c *cellState) add(vals []float64) {
 // pointState is the controller state of one grid point.
 type pointState struct {
 	folded      int               // contiguous replicates folded into cells
-	outstanding int               // replicates queued or in flight
+	outstanding int               // replicates queued, in flight or awaiting the journal
 	next        int               // first replicate never queued (lookahead mode)
 	pending     map[int][]float64 // completed or restored, not yet folded
 	stopped     bool
@@ -65,6 +65,14 @@ type pointState struct {
 type unitJob struct {
 	point, rep int
 	buf        []float64
+}
+
+// journaledUnit is a completed replicate waiting for the journal's
+// durable watermark to reach its record's sequence number.
+type journaledUnit struct {
+	seq        uint64
+	point, rep int
+	vals       []float64
 }
 
 type unitResult struct {
@@ -117,6 +125,10 @@ type adaptiveController struct {
 	// the coordinating goroutine; hand-off happens through the job and
 	// result structs, never by sharing.
 	free [][]float64
+	// unacked holds, in journal order, completed units whose records a
+	// synced manifest has not yet made durable. They fold (and count as
+	// done) only once the durable watermark covers them.
+	unacked []journaledUnit
 	// cache/cacheStart let syncMetrics mirror the compiled-model cache's
 	// per-run counter deltas into telemetry (cache may be nil).
 	cache      *model.Cache
@@ -260,13 +272,18 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 		// Shared-pool mode: jobs were submitted by enqueue as advance
 		// queued them; the coordinator only folds results (each of which
 		// may submit follow-up batches through advance → enqueue).
-		for c.inflight > 0 {
-			r := <-results
-			if c.firstErr == nil && canceled(opt.Cancel) {
-				// Journal this result but queue nothing beyond it.
-				c.firstErr = ErrCanceled
+		var durable <-chan struct{}
+		for c.inflight > 0 || len(c.unacked) > 0 {
+			select {
+			case r := <-results:
+				if c.firstErr == nil && canceled(opt.Cancel) {
+					// Journal this result but queue nothing beyond it.
+					c.firstErr = ErrCanceled
+				}
+				c.handle(r)
+			case <-durable:
 			}
-			c.handle(r)
+			durable = c.ackJournal()
 			c.syncMetrics()
 		}
 		if c.firstErr != nil {
@@ -295,7 +312,8 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 	// Coordinator: interleave dispatching queued jobs with folding
 	// results until every point has stopped and nothing is in flight.
 	cancelWatch := opt.Cancel
-	for c.inflight > 0 {
+	var durable <-chan struct{}
+	for c.inflight > 0 || len(c.unacked) > 0 {
 		// Speculated jobs whose point has since stopped — or any queued
 		// job after an error or cancellation — are dropped here instead
 		// of dispatched: never-run replicates, not discarded results, so
@@ -309,7 +327,7 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 				c.free = append(c.free, job.buf)
 			}
 		}
-		if c.inflight == 0 {
+		if c.inflight == 0 && len(c.unacked) == 0 {
 			break
 		}
 		var dispatch chan unitJob
@@ -320,9 +338,10 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 		select {
 		case dispatch <- next:
 			c.queue = c.queue[1:]
+			continue
 		case r := <-results:
 			c.handle(r)
-			c.syncMetrics()
+		case <-durable:
 		case <-cancelWatch: // nil without Options.Cancel: never ready
 			// Stop queueing (advance checks firstErr) and let the next
 			// loop turn drop the queued remainder; in-flight units drain
@@ -331,8 +350,12 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 				c.firstErr = ErrCanceled
 			}
 			cancelWatch = nil
+			continue
 		}
+		durable = c.ackJournal()
+		c.syncMetrics()
 	}
+	c.syncMetrics() // the last turn may only have dropped queued jobs
 	close(jobs)
 	wg.Wait()
 	if c.firstErr != nil {
@@ -344,35 +367,98 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 	return res, nil
 }
 
-// handle folds one completed unit and advances its point.
+// handle takes one dispatched job back from a worker. A result is
+// journaled and then accepted into its point's fold — at once without a
+// synced manifest, else once the durable watermark covers its record
+// (see ackJournal). Until then the replicate stays outstanding, so the
+// point never re-queues it.
 func (c *adaptiveController) handle(r unitResult) {
-	ps := &c.points[r.point]
-	ps.outstanding--
 	c.inflight--
-	if r.skip {
-		if r.vals != nil {
-			c.free = append(c.free, r.vals)
-		}
-		return
-	}
-	if r.err != nil {
-		if c.firstErr == nil {
+	if r.skip || r.err != nil {
+		if r.err != nil && c.firstErr == nil {
 			c.firstErr = fmt.Errorf("campaign: point %d (x=%v) rep %d: %w",
 				r.point, c.res.Points[r.point].X, r.rep, r.err)
 		}
+		c.drop(r.point, r.vals)
 		return
 	}
-	ps.pending[r.rep] = r.vals
 	if c.opt.Manifest != nil {
 		unit := r.point*c.sp.ReplicateCap() + r.rep
-		if err := c.opt.Manifest.AppendUnit(unit, r.vals); err != nil && c.firstErr == nil {
-			c.firstErr = err
+		seq, acked, err := c.opt.Manifest.write("unit", manifestUnit{Unit: unit, Makespans: r.vals})
+		if err != nil {
+			if c.firstErr == nil {
+				c.firstErr = err
+			}
+			c.drop(r.point, r.vals)
+			return
+		}
+		if !acked {
+			c.unacked = append(c.unacked, journaledUnit{seq: seq, point: r.point, rep: r.rep, vals: r.vals})
+			return
 		}
 	}
-	c.advance(r.point)
+	c.accept(r.point, r.rep, r.vals)
+	c.progress()
+}
+
+// accept settles one journaled replicate: it stops being outstanding
+// and joins its point's fold.
+func (c *adaptiveController) accept(pi, rep int, vals []float64) {
+	ps := &c.points[pi]
+	ps.outstanding--
+	ps.pending[rep] = vals
+	c.advance(pi)
+}
+
+// drop settles a replicate that will never fold (skipped, failed, or
+// never made durable), recycling its buffer.
+func (c *adaptiveController) drop(pi int, vals []float64) {
+	c.points[pi].outstanding--
+	if vals != nil {
+		c.free = append(c.free, vals)
+	}
+}
+
+// progress reports the folded (hence durable) replicate count.
+func (c *adaptiveController) progress() {
 	if c.opt.Progress != nil {
 		c.opt.Progress(c.done, c.estTotal)
 	}
+}
+
+// ackJournal accepts every unacknowledged replicate the journal's
+// durable watermark now covers and returns a channel that closes when
+// the watermark next moves — nil once nothing waits on it. A failed
+// fsync fails the campaign and discards the replicates it never covered:
+// they are never folded, so never reported done.
+func (c *adaptiveController) ackJournal() <-chan struct{} {
+	if len(c.unacked) == 0 {
+		return nil
+	}
+	w, advanced, err := c.opt.Manifest.watermark()
+	n := 0
+	for n < len(c.unacked) && c.unacked[n].seq <= w {
+		u := c.unacked[n]
+		c.accept(u.point, u.rep, u.vals)
+		n++
+	}
+	c.unacked = c.unacked[:copy(c.unacked, c.unacked[n:])]
+	if n > 0 {
+		c.progress()
+	}
+	if err != nil {
+		if c.firstErr == nil {
+			c.firstErr = err
+		}
+		for _, u := range c.unacked {
+			c.drop(u.point, u.vals)
+		}
+		c.unacked = c.unacked[:0]
+	}
+	if len(c.unacked) == 0 {
+		return nil
+	}
+	return advanced
 }
 
 // advance folds the point's contiguous pending replicates, evaluates the
@@ -477,7 +563,7 @@ func (c *adaptiveController) syncMetrics() {
 	}
 	m.UnitsDone.Set(float64(c.done))
 	m.UnitsPlanned.Set(float64(c.estTotal))
-	m.QueueDepth.Set(float64(c.inflight))
+	m.QueueDepth.Set(float64(c.inflight + len(c.unacked)))
 	m.RepsSaved.Set(float64(len(c.points)*c.maxReps - c.estTotal))
 	m.SetModelCache(cacheObs(c.cache.Stats().Delta(c.cacheStart)))
 }

@@ -112,13 +112,16 @@ type Options struct {
 	// worker count; the only cost is up to a lookahead window of wasted
 	// replicates per point.
 	Parallel bool
-	// Progress, when non-nil, is called after every completed unit with
-	// the number of finished units (including manifest-restored ones)
-	// and the campaign total. Calls are serialized.
+	// Progress, when non-nil, is called as units complete with the
+	// number of finished units (including manifest-restored ones) and
+	// the campaign total. Calls are serialized.
 	Progress func(done, total int)
 	// Manifest, when non-nil, makes the campaign resumable: previously
 	// recorded units are restored instead of re-run, and every newly
-	// completed unit is appended.
+	// completed unit is appended. With a synced manifest a unit counts
+	// as finished — in Progress, telemetry and Run's result — only once
+	// an fsync covered its record, and Run returns only after the last
+	// record written is durable.
 	Manifest *Manifest
 	// Metrics, when non-nil, receives live telemetry: per-worker unit
 	// and simulator counters (sharded, merged only at snapshot time) and
@@ -200,6 +203,9 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	if opt.Manifest != nil && opt.Metrics != nil {
+		opt.Manifest.SetMetrics(opt.Metrics)
+	}
 	if sp.Precision != nil {
 		return runAdaptive(sp, opt, points, policies, semantics)
 	}
@@ -247,8 +253,12 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	var mu sync.Mutex // guards done, firstErr, manifest appends, Progress calls
+	var mu sync.Mutex // guards done, firstErr, unacked, manifest writes, Progress calls
 	var firstErr error
+	// unacked holds, in journal order, the sequence numbers of folded
+	// units whose records no fsync has covered yet. A unit counts as
+	// done — in done, Progress and telemetry — only once it is durable.
+	var unacked []uint64
 	fail := func(err error) {
 		mu.Lock()
 		if firstErr == nil {
@@ -256,8 +266,20 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 		}
 		mu.Unlock()
 	}
-	// runOne executes one unit on the given arena and folds its values
-	// into the result under mu — the shared body of both execution modes.
+	// report publishes done; the caller holds mu.
+	report := func() {
+		if m := opt.Metrics; m != nil {
+			m.UnitsDone.Set(float64(done))
+			m.QueueDepth.Set(float64(total - done))
+			m.SetModelCache(cacheObs(um.cache.Stats().Delta(cacheStart)))
+		}
+		if opt.Progress != nil {
+			opt.Progress(done, total)
+		}
+	}
+	// runOne executes one unit on the given arena, folds its values into
+	// the result and journals them under mu — the shared body of both
+	// execution modes. It never waits for an fsync.
 	runOne := func(ws *workerState, unit int) {
 		pi, rep := unit/sp.Replicates, unit%sp.Replicates
 		vals, err := ws.runUnit(sp, points[pi], policies, semantics, rep, um, trace)
@@ -269,19 +291,64 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 		defer mu.Unlock()
 		asm.Fold(unit, vals)
 		if opt.Manifest != nil {
-			if err := opt.Manifest.AppendUnit(unit, vals); err != nil && firstErr == nil {
-				firstErr = err
+			seq, acked, err := opt.Manifest.write("unit", manifestUnit{Unit: unit, Makespans: vals})
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				return
+			}
+			if !acked {
+				unacked = append(unacked, seq)
+				return
 			}
 		}
 		done++
-		if m := opt.Metrics; m != nil {
-			m.UnitsDone.Set(float64(done))
-			m.QueueDepth.Set(float64(total - done))
-			m.SetModelCache(cacheObs(um.cache.Stats().Delta(cacheStart)))
+		report()
+	}
+	// ack counts every unacknowledged unit the watermark w covers as
+	// done; err is a failed fsync, which fails the campaign.
+	ack := func(w uint64, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil && firstErr == nil {
+			firstErr = err
 		}
-		if opt.Progress != nil {
-			opt.Progress(done, total)
+		n := 0
+		for n < len(unacked) && unacked[n] <= w {
+			n++
 		}
+		if n > 0 {
+			unacked = unacked[:copy(unacked, unacked[n:])]
+			done += n
+			report()
+		}
+	}
+	// wait blocks until every unit job returned. With a synced manifest
+	// it acknowledges units as the durable watermark advances meanwhile,
+	// and then flushes, so Run returns only once every journaled unit is
+	// durable or an fsync failed.
+	wait := func(wg *sync.WaitGroup) {
+		if opt.Manifest == nil || !opt.Manifest.synced() {
+			wg.Wait()
+			return
+		}
+		finished := make(chan struct{})
+		go func() {
+			wg.Wait()
+			close(finished)
+		}()
+	watch:
+		for {
+			w, advanced, err := opt.Manifest.watermark()
+			ack(w, err)
+			select {
+			case <-advanced:
+			case <-finished:
+				break watch
+			}
+		}
+		ack(opt.Manifest.flush())
 	}
 
 	if opt.Pool != nil {
@@ -306,7 +373,7 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 				runOne(ws, unit)
 			})
 		}
-		wg.Wait()
+		wait(&wg)
 	} else {
 		workers := opt.Workers
 		if workers <= 0 {
@@ -346,7 +413,7 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 			}
 		}
 		close(units)
-		wg.Wait()
+		wait(&wg)
 	}
 	if firstErr != nil {
 		return nil, firstErr

@@ -177,6 +177,9 @@ func Run(sp scenario.Spec, opt Options) (*campaign.Result, error) {
 
 	tr := NewTracker(asm.TotalUnits(), opt.MaxUnitRetries)
 	if opt.Manifest != nil {
+		if opt.Metrics != nil {
+			opt.Manifest.SetMetrics(opt.Metrics)
+		}
 		_, err := opt.Manifest.Restore(sp, asm.Policies(), func(unit int, vals []float64) {
 			if asm.Fold(unit, vals) {
 				tr.RestoreFolded(unit)

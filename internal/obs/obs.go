@@ -197,6 +197,12 @@ type Campaign struct {
 	PointsStopped Counter // adaptive: points whose stopping rule has fired
 	RepsSaved     Gauge   // adaptive: budgeted replicates the stopping rule avoided so far
 
+	// Journal group-commit instruments. Their single writer is the
+	// campaign manifest's committer (at most one runs at a time), through
+	// ObserveJournalSync.
+	journalFsyncs      Counter // fsyncs of the campaign journal
+	journalSyncedUnits Counter // unit records those fsyncs made durable
+
 	// Dist is the distributed coordinator's instrument bundle. Its single
 	// writer is the coordinator event loop; an in-process campaign never
 	// touches it, so the counters render as zeros there.
@@ -214,6 +220,17 @@ type Campaign struct {
 	cacheEvictions   Gauge
 	cacheBytes       Gauge
 	cacheEntries     Gauge
+}
+
+// ObserveJournalSync records one journal fsync that made units unit
+// records durable. It is nil-safe: a manifest without telemetry calls it
+// on a nil root at no cost.
+func (c *Campaign) ObserveJournalSync(units uint64) {
+	if c == nil {
+		return
+	}
+	c.journalFsyncs.Inc()
+	c.journalSyncedUnits.Add(units)
 }
 
 // ModelCacheStats is the obs-side view of the compiled-model cache's
@@ -320,6 +337,11 @@ type Snapshot struct {
 	RunEvents      HistSnapshot    `json:"run_events"`
 	Dist           DistStats       `json:"dist"`
 	ModelCache     ModelCacheStats `json:"model_cache"`
+	// JournalFsyncs counts group-commit fsyncs of the campaign journal;
+	// JournalUnitsPerFsync is the batching factor, unit records made
+	// durable per fsync (0 before the first one).
+	JournalFsyncs        uint64  `json:"journal_fsyncs"`
+	JournalUnitsPerFsync float64 `json:"journal_units_per_fsync"`
 }
 
 // DistStats is the snapshot view of the distributed coordinator's
@@ -369,6 +391,9 @@ func (c *Campaign) Snapshot() Snapshot {
 			ResidentBytes: int64(c.cacheBytes.Value()),
 			Entries:       int64(c.cacheEntries.Value()),
 		},
+	}
+	if s.JournalFsyncs = c.journalFsyncs.Value(); s.JournalFsyncs > 0 {
+		s.JournalUnitsPerFsync = float64(c.journalSyncedUnits.Value()) / float64(s.JournalFsyncs)
 	}
 	for w, sh := range shards {
 		units := sh.Units.Value()

@@ -134,6 +134,36 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestJournalSyncTelemetry: the group-commit instruments are nil-safe
+// and allocation-free with telemetry off, and render the batching
+// factor with it on.
+func TestJournalSyncTelemetry(t *testing.T) {
+	var off *Campaign
+	if allocs := testing.AllocsPerRun(100, func() { off.ObserveJournalSync(3) }); allocs != 0 {
+		t.Fatalf("ObserveJournalSync on a nil root allocates %v per call", allocs)
+	}
+	c := NewCampaign()
+	if s := c.Snapshot(); s.JournalFsyncs != 0 || s.JournalUnitsPerFsync != 0 {
+		t.Fatalf("fresh root reports %d fsyncs, %v units/fsync", s.JournalFsyncs, s.JournalUnitsPerFsync)
+	}
+	c.ObserveJournalSync(5)
+	c.ObserveJournalSync(1)
+	var buf bytes.Buffer
+	if err := c.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE cosched_journal_fsyncs_total counter",
+		"cosched_journal_fsyncs_total 2",
+		"# TYPE cosched_journal_units_per_fsync gauge",
+		"cosched_journal_units_per_fsync 3",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("missing %q in render:\n%s", want, buf.String())
+		}
+	}
+}
+
 func TestProgressRecord(t *testing.T) {
 	c := NewCampaign()
 	c.UnitsDone.Set(3)

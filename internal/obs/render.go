@@ -78,6 +78,9 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 	counter("cosched_dist_units_quarantined_total", "Units retired after exhausting their retry budget.", float64(s.Dist.UnitsQuarantined))
 	counter("cosched_dist_heartbeats_total", "Heartbeats received from distributed workers.", float64(s.Dist.Heartbeats))
 
+	counter("cosched_journal_fsyncs_total", "Group-commit fsyncs of the campaign journal.", float64(s.JournalFsyncs))
+	gauge("cosched_journal_units_per_fsync", "Unit records made durable per journal fsync (the group-commit batching factor).", s.JournalUnitsPerFsync)
+
 	writeHistogram(pr, "cosched_unit_seconds", "Wall-clock per executed unit.", s.UnitSeconds)
 	writeHistogram(pr, "cosched_sim_run_events", "Events handled per simulator run.", s.RunEvents)
 	return err

@@ -158,6 +158,55 @@ func TestSpoolJournalWriteErrorFailsCampaign(t *testing.T) {
 	}
 }
 
+// TestSpoolJournalSyncErrorFailsCampaign injects ENOSPC into the
+// journal's group-commit fsyncs (the header's fsync at restore passes,
+// every fsync covering a unit fails): the campaign must fail at once
+// with the error recorded, without retries, and must never have reported
+// a unit done — none was ever durable.
+func TestSpoolJournalSyncErrorFailsCampaign(t *testing.T) {
+	var appended atomic.Int32
+	s, ts := startDaemon(t, Config{
+		SpoolDir:    t.TempDir(),
+		Workers:     2,
+		MaxAttempts: 5,
+		manifestWriteErr: func(op string) error {
+			switch op {
+			case "unit":
+				appended.Add(1)
+			case "sync":
+				if appended.Load() > 0 {
+					return fmt.Errorf("syncing journal: %w", syscall.ENOSPC)
+				}
+			}
+			return nil
+		},
+	})
+	defer ts.Close()
+	defer s.Stop()
+
+	code, st := submit(t, ts, "alice", smallSpec("enospc-fsync", 29, 2))
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: %d", code)
+	}
+	final := waitState(t, ts, st.ID, StateFailed)
+	if !strings.Contains(final.Error, "no space left") {
+		t.Fatalf("failed campaign records error %q, want the ENOSPC cause", final.Error)
+	}
+	if final.Attempts != 1 {
+		t.Fatalf("unretryable fsync failure took %d attempts, want 1", final.Attempts)
+	}
+	if appended.Load() == 0 {
+		t.Fatal("no unit was journaled before the failure")
+	}
+	r, ok := s.Get(st.ID)
+	if !ok {
+		t.Fatal("run vanished")
+	}
+	if done := r.metrics.Snapshot().UnitsDone; done != 0 {
+		t.Fatalf("%d units reported done although no fsync covering a unit succeeded", done)
+	}
+}
+
 // TestRetryBackoffDeterministic replaces wall-clock retry sleeps with
 // the shared fake clock: a campaign whose journal hiccups twice must
 // retry exactly twice, spaced by the exact backoff schedule — the

@@ -54,7 +54,8 @@ type Meta struct {
 // bytes land in a temp file in the same directory, are fsync'd, and the
 // temp file is renamed over path. A crash at any point leaves either the
 // old content or the new, never a torn mix; the directory fsync makes
-// the rename itself durable.
+// the rename itself durable, so its failure fails the write like any
+// other.
 func writeFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
@@ -77,11 +78,15 @@ func writeFileAtomic(path string, data []byte) error {
 	if err := os.Rename(tmpName, path); err != nil {
 		return err
 	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
-	return nil
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // campaignDir returns the spool directory of one campaign.
