@@ -364,15 +364,16 @@ func heterogeneousSweepSpec() scenario.Spec {
 	}
 }
 
-// BenchmarkCampaignThroughputHeterogeneous measures the headline payoff
-// of the compiled-model cache: re-executing a heterogeneous resilience
-// sweep against the warm process-global cache — the campaignd /
-// repeated-refinement steady state. Every unit's tables come back as
-// hits of the exact (pack, resilience, cost model, P) key, and the
-// engine's (pointer, Gen)-keyed schedule memo then replays Algorithm 1
-// instead of re-deriving it, so a unit pays only its event loop. The
-// cache is warmed by one untimed run; the cold fill is the Misses ×
-// BenchmarkCompileCold story, amortized away in this steady state.
+// BenchmarkCampaignThroughputHeterogeneous measures a caller-kept
+// compiled-model cache re-running one identical heterogeneous
+// resilience sweep: the benchmark owns a model.NewCache, whose budget
+// keeps idle tables across Runs (the process-default cache keeps
+// none). Every unit's tables come back as hits of the exact (pack,
+// resilience, cost model, P) key, and the engine's (pointer, Gen)-keyed
+// schedule memo then replays Algorithm 1 instead of re-deriving it, so
+// a unit pays only its event loop. The cache is warmed by one untimed
+// run; the cold fill is the Misses × BenchmarkCompileCold story,
+// amortized away in this steady state.
 func BenchmarkCampaignThroughputHeterogeneous(b *testing.B) {
 	sp := heterogeneousSweepSpec()
 	cache := model.NewCache(0)
@@ -454,6 +455,32 @@ func BenchmarkCampaignThroughputAdaptive(b *testing.B) {
 	if budget > 0 {
 		b.ReportMetric(float64(budget-units)/float64(budget), "reps_saved")
 	}
+}
+
+// BenchmarkCampaignThroughputFreshSeed runs the `campaign -example`
+// grid (platform size × MTBF, n = 10, 20 replicates) with a new seed
+// every iteration through the default path: fresh packs every time, so
+// tables can only be shared within a replicate group. It is the
+// real-traffic counterpart of BenchmarkCampaignThroughput, whose
+// identical re-runs measure cross-run memoization. Besides units/s it
+// reports the process cache's peak resident table bytes over the run.
+func BenchmarkCampaignThroughputFreshSeed(b *testing.B) {
+	sp := journalSpec()
+	sp.Name = "bench-fresh-seed"
+	campaign.ResetModelCachePeak()
+	units := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sp.Seed = uint64(i + 1)
+		res, err := campaign.Run(sp, campaign.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		units += res.Units()
+	}
+	b.ReportMetric(float64(units)/b.Elapsed().Seconds(), "units/s")
+	b.ReportMetric(float64(campaign.ModelCacheStats().PeakResidentBytes)/(1<<20), "peak_resident_MB")
 }
 
 // journalSpec is the `campaign -example` grid (platform size × MTBF,

@@ -271,9 +271,10 @@ func realMain() error {
 	// traffic (COSCHED_MODEL_CACHE=off, or a spec whose tables never reach
 	// the shared cache), so pre-cache output is byte-identical.
 	if cacheDelta.Hits+cacheDelta.Misses > 0 {
-		fmt.Printf("model cache: %d hits / %d misses (%d delta, %d full builds), %d evictions, %s resident in %d entries\n",
+		fmt.Printf("model cache: %d hits / %d misses (%d delta, %d full builds), %d evictions, %s resident in %d entries, peak %s\n",
 			cacheDelta.Hits, cacheDelta.Misses, cacheDelta.DeltaBuilds, cacheDelta.FullBuilds,
-			cacheDelta.Evictions, fmtBytes(cacheDelta.ResidentBytes), cacheDelta.Entries)
+			cacheDelta.Evictions, fmtBytes(cacheDelta.ResidentBytes), cacheDelta.Entries,
+			fmtBytes(cacheDelta.PeakResidentBytes))
 	}
 	if res.Adaptive() {
 		budget := res.ReplicateBudget()

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -129,9 +130,11 @@ type adaptiveController struct {
 	// synced manifest has not yet made durable. They fold (and count as
 	// done) only once the durable watermark covers them.
 	unacked []journaledUnit
-	// cache/cacheStart let syncMetrics mirror the compiled-model cache's
-	// per-run counter deltas into telemetry (cache may be nil).
-	cache      *model.Cache
+	// um is the campaign's model-sharing state: advance closes the
+	// replicate groups no live point can still run. cacheStart lets
+	// syncMetrics mirror the compiled-model cache's per-run counter
+	// deltas into telemetry (um.cache may be nil).
+	um         *unitModels
 	cacheStart model.CacheStats
 }
 
@@ -202,8 +205,9 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 	// compiled-model cache; see models.go), plus the once-per-campaign
 	// arrival trace. Built before the first advance: in shared-pool mode
 	// enqueue submits jobs immediately, and those jobs capture it.
-	um := newUnitModels(points, modelCacheFor(opt))
-	c.cache = um.cache
+	um := newUnitModels(points, modelCacheFor(opt), true)
+	defer um.closeAll()
+	c.um = um
 	if opt.Metrics != nil {
 		c.cacheStart = um.cache.Stats()
 	}
@@ -467,6 +471,7 @@ func (c *adaptiveController) ackJournal() <-chan struct{} {
 // error no new work is queued; already-queued jobs drain harmlessly.
 func (c *adaptiveController) advance(pi int) {
 	ps := &c.points[pi]
+	folded := ps.folded
 	for !ps.stopped {
 		vals, ok := ps.pending[ps.folded]
 		if !ok {
@@ -492,6 +497,9 @@ func (c *adaptiveController) advance(pi int) {
 				}
 			}
 		}
+	}
+	if ps.folded != folded {
+		c.closeGroups(pi)
 	}
 	if ps.stopped {
 		return
@@ -537,6 +545,21 @@ func (c *adaptiveController) advance(pi int) {
 	}
 }
 
+// closeGroups closes the replicate groups of pi's share class that no
+// live point of the class can still run: every group below the smallest
+// folded count among its live points, or all of them once every point
+// stopped. Stopped points pin nothing.
+func (c *adaptiveController) closeGroups(pi int) {
+	share := c.um.shares[pi]
+	f := math.MaxInt
+	for _, p := range c.um.members[share] {
+		if ps := &c.points[p]; !ps.stopped && ps.folded < f {
+			f = ps.folded
+		}
+	}
+	c.um.closeBelow(share, f)
+}
+
 // enqueue queues one replicate, handing it a recycled metric buffer when
 // one is free.
 func (c *adaptiveController) enqueue(pi, rep int) {
@@ -565,7 +588,7 @@ func (c *adaptiveController) syncMetrics() {
 	m.UnitsPlanned.Set(float64(c.estTotal))
 	m.QueueDepth.Set(float64(c.inflight + len(c.unacked)))
 	m.RepsSaved.Set(float64(len(c.points)*c.maxReps - c.estTotal))
-	m.SetModelCache(cacheObs(c.cache.Stats().Delta(c.cacheStart)))
+	m.SetModelCache(cacheObs(c.um.cache.Stats().Delta(c.cacheStart)))
 }
 
 // shouldStop evaluates the sequential stopping rule for one point: stop

@@ -101,8 +101,9 @@ type Options struct {
 	// point's replicate range is sharded across the whole worker pool
 	// even when the adaptive controller would otherwise keep only one
 	// batch in flight. Fixed-replicate campaigns already shard every
-	// point's replicate range (the unit queue is point-major over
-	// (point, replicate) units), so the flag only changes adaptive
+	// point's replicate range (the unit queue holds every (point,
+	// replicate) unit, replicate-major within a pack class, see
+	// unitModels.dispatch), so the flag only changes adaptive
 	// scheduling: the controller speculatively queues replicates past
 	// the current batch boundary, and results that arrive after the
 	// stopping rule fires are discarded unfolded. Replicate seeds derive
@@ -240,17 +241,18 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 		m.QueueDepth.Set(float64(total - done))
 	}
 
-	// The campaign's model-sharing state: pack classes, the pack memo
-	// and the compiled-model cache. Workers consult it instead of
-	// compiling per unit; see models.go.
-	um := newUnitModels(points, modelCacheFor(opt))
-	var cacheStart model.CacheStats
-	if opt.Metrics != nil {
-		cacheStart = um.cache.Stats()
-	}
 	trace, err := loadArrivalTrace(sp)
 	if err != nil {
 		return nil, err
+	}
+	// The campaign's model-sharing state: pack classes, replicate groups
+	// and the compiled-model cache. Workers consult it instead of
+	// compiling per unit; see models.go.
+	um := newUnitModels(points, modelCacheFor(opt), true)
+	defer um.closeAll()
+	var cacheStart model.CacheStats
+	if opt.Metrics != nil {
+		cacheStart = um.cache.Stats()
 	}
 
 	var mu sync.Mutex // guards done, firstErr, unacked, manifest writes, Progress calls
@@ -283,6 +285,7 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 	runOne := func(ws *workerState, unit int) {
 		pi, rep := unit/sp.Replicates, unit%sp.Replicates
 		vals, err := ws.runUnit(sp, points[pi], policies, semantics, rep, um, trace)
+		um.finish(pi, rep)
 		if err != nil {
 			fail(fmt.Errorf("campaign: point %d (x=%v) rep %d: %w", pi, points[pi].X, rep, err))
 			return
@@ -351,17 +354,16 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 		ack(opt.Manifest.flush())
 	}
 
+	// Units go out group-major (see unitModels.dispatch), so only the few
+	// replicate groups the workers are currently on pin their tables.
 	if opt.Pool != nil {
 		// Shared-pool mode: every unit becomes one fair-scheduled job on
 		// the client's queue. The pool interleaves campaigns at unit
 		// granularity; folding is by unit index, so output is identical.
 		var wg sync.WaitGroup
-		for unit := 0; unit < total; unit++ {
-			if restored[unit] {
-				continue
-			}
+		um.dispatch(sp.Replicates, restored, func(unit int) bool {
 			if canceled(opt.Cancel) {
-				break
+				return false
 			}
 			wg.Add(1)
 			opt.Pool.submit(opt.Client, func(ws *workerState, w int) {
@@ -372,7 +374,8 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 				ws.bind(opt.Metrics, w)
 				runOne(ws, unit)
 			})
-		}
+			return true
+		})
 		wait(&wg)
 	} else {
 		workers := opt.Workers
@@ -401,17 +404,14 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 				}
 			}(w)
 		}
-	feed:
-		for unit := 0; unit < total; unit++ {
-			if restored[unit] {
-				continue
-			}
+		um.dispatch(sp.Replicates, restored, func(unit int) bool {
 			select {
 			case units <- unit:
+				return true
 			case <-opt.Cancel: // nil without Options.Cancel: never ready
-				break feed
+				return false
 			}
-		}
+		})
 		close(units)
 		wait(&wg)
 	}
@@ -536,7 +536,7 @@ func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies 
 	if err := genSpec.Validate(); err != nil {
 		return nil, err
 	}
-	tasks, err := um.packFor(ws, sp.Seed, genSpec, pt.Index, rep)
+	tasks, pins, err := um.packFor(ws, sp.Seed, genSpec, pt.Index, rep)
 	if err != nil {
 		return nil, err
 	}
@@ -609,6 +609,7 @@ func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies 
 					return nil, err
 				} else if e != nil {
 					entryFF, cmFF = e, e.Compiled()
+					pins.Pin(e)
 				} else {
 					// No cache (disabled, or incomparable profiles): build
 					// on the private arena. When the unit's fault-enabled
@@ -635,6 +636,7 @@ func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies 
 					return nil, err
 				} else if e != nil {
 					entry, cm = e, e.Compiled()
+					pins.Pin(e)
 				} else {
 					if err := ws.comp.Recompile(in.Tasks, in.Res, in.RC, in.P); err != nil {
 						return nil, err
@@ -657,6 +659,11 @@ func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies 
 			onlineMetrics(out[qi*nm:qi*nm+nm], &r, tasks, arrivals, runSpec.P)
 		}
 	}
+	if unitFault != nil {
+		if err := unitFault(pt.Index, rep); err != nil {
+			return nil, err
+		}
+	}
 	if ws.shard != nil {
 		d := time.Since(unitStart).Seconds()
 		ws.shard.Units.Inc()
@@ -665,6 +672,10 @@ func (ws *workerState) runUnit(sp scenario.Spec, pt scenario.RunPoint, policies 
 	}
 	return out, nil
 }
+
+// unitFault, when non-nil, can fail a unit after it ran, with its
+// tables still held: the test seam for a unit error mid-campaign.
+var unitFault func(point, rep int) error
 
 // onlineMetrics fills one policy's metric vector from a finished run:
 // per-job means of response time, bounded slowdown and queue wait, plus

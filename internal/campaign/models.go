@@ -19,18 +19,26 @@ import (
 	"cosched/internal/workload"
 )
 
-// defaultModelCache is the process-global compiled-model cache. Like
-// workerStatePool it deliberately outlives individual Runs: drivers that
-// execute many campaigns over the same workloads (adaptive batches,
-// cmd/bench, parameter sweeps, policy-search rollouts) hit warm tables
-// across Run boundaries. It is bounded by DefaultCacheBytes and evicts
-// FIFO, so a long-lived daemon cannot grow without bound.
-var defaultModelCache = model.NewCache(model.DefaultCacheBytes)
+// defaultModelCache is the process-global compiled-model cache. Its
+// idle budget is zero: a table stays resident only while a unit holds
+// it or an open replicate group pins it (see unitModels). Every
+// replicate draws a fresh pack, so once its group closes no later unit
+// can reuse the table, and the daemon deduplicates identical specs per
+// client, so it does not re-run a campaign either. Concurrent Runs on
+// the daemon's shared pool still share the tables they hold at the same
+// time. A caller that re-runs identical work and wants its tables kept
+// across Runs passes its own model.NewCache as Options.ModelCache.
+var defaultModelCache = model.NewTransientCache()
 
 // ModelCacheStats returns the process-global cache's counters — the
 // hook cmd/campaign's summary line and tests use. Callers wanting
 // per-run numbers snapshot before and after and Delta the two.
 func ModelCacheStats() model.CacheStats { return defaultModelCache.Stats() }
+
+// ResetModelCachePeak restarts the process-global cache's
+// PeakResidentBytes high-water mark at its current level, so a driver
+// can read the peak of one stretch of work.
+func ResetModelCachePeak() { defaultModelCache.ResetPeak() }
 
 // modelCacheFor resolves the cache a run uses: the COSCHED_MODEL_CACHE
 // environment gate ("off"/"0"/"false" disables, checked per Run so
@@ -53,12 +61,14 @@ func modelCacheFor(opt Options) *model.Cache {
 // cacheObs converts model-cache counters to their obs mirror type.
 func cacheObs(s model.CacheStats) obs.ModelCacheStats {
 	return obs.ModelCacheStats{
-		Hits:          s.Hits,
-		Misses:        s.Misses,
-		DeltaBuilds:   s.DeltaBuilds,
-		Evictions:     s.Evictions,
-		ResidentBytes: s.ResidentBytes,
-		Entries:       s.Entries,
+		Hits:              s.Hits,
+		Misses:            s.Misses,
+		DeltaBuilds:       s.DeltaBuilds,
+		Evictions:         s.Evictions,
+		ResidentBytes:     s.ResidentBytes,
+		Entries:           s.Entries,
+		PeakResidentBytes: s.PeakResidentBytes,
+		OpenGroups:        s.OpenGroups,
 	}
 }
 
@@ -108,80 +118,283 @@ func packClasses(points []scenario.RunPoint) []int {
 }
 
 // unitModels is the campaign-scoped model-sharing state handed to every
-// worker: the pack-class table, a memo of generated packs keyed by
-// (class, replicate), an intern table canonicalizing content-equal
-// packs to one slice, and the compiled-model cache (nil when disabled).
-// Interning is what makes the cache's pointer fast path fire: every
-// unit over the same pack content holds the same []model.Task header,
-// so a cache probe compares one pointer instead of the pack.
+// worker: the pack-class table, the open replicate groups, an intern
+// table canonicalizing content-equal packs to one slice, and the
+// compiled-model cache (nil when disabled). Interning is what makes the
+// cache's pointer fast path fire: every unit over the same pack content
+// holds the same []model.Task header, so a cache probe compares one
+// pointer instead of the pack.
+//
+// A replicate group is one (share class, replicate) pair. A share class
+// is the points of one pack class at one platform size: exactly the
+// points that can reuse each other's tables, since P is part of every
+// table's key. At one replicate they draw the same pack, so the group
+// owns its memoized pack and one cache pin on every table acquired for
+// it; closing the group — once no point of the class can still run that
+// replicate — drops both, so table residency follows the groups the
+// runner keeps open. Without groups (the dist UnitRunner, which only
+// sees leased unit ranges) packs are memoized for the runner's lifetime
+// and nothing is pinned.
 type unitModels struct {
 	cache   *model.Cache
-	classes []int
+	classes []int // pack class per point: the task stream it draws from
+	shares  []int // share class per point: its lowest point index
+	// members lists each share class's points and classShares each pack
+	// class's share classes, in index order (other indices hold nil).
+	members     [][]int
+	classShares [][]int
+	grouped     bool
 
 	mu       sync.Mutex
-	packs    map[packKey][]model.Task
-	interned map[uint64][][]model.Task
+	groups   map[packKey]*repGroup
+	interned map[uint64]*internedPack // chained through next
+	// closedBelow[s] is the replicate below which every group of share
+	// class s has closed for good: a late unit there runs unpinned
+	// (adaptive speculation past a stopped point).
+	closedBelow []int
 }
 
-type packKey struct{ class, rep int }
+// packKey names a replicate group: (share class, replicate).
+type packKey struct{ share, rep int }
 
-func newUnitModels(points []scenario.RunPoint, cache *model.Cache) *unitModels {
+// repGroup is one open replicate group.
+type repGroup struct {
+	tasks  []model.Task // the memoized canonical pack, nil until drawn
+	intern *internedPack
+	pins   *model.CacheGroup
+	// pending counts the group's dispatched units still to finish
+	// (fixed runs, which close a group when it reaches zero).
+	pending int
+}
+
+// internedPack is one canonical pack and the number of open groups
+// using it.
+type internedPack struct {
+	tasks []model.Task
+	fp    uint64
+	users int
+	next  *internedPack
+}
+
+// newUnitModels builds the campaign's sharing state; grouped selects
+// replicate groups (Run) over a runner-lifetime pack memo (UnitRunner).
+func newUnitModels(points []scenario.RunPoint, cache *model.Cache, grouped bool) *unitModels {
+	classes := packClasses(points)
+	shares := make([]int, len(points))
+	members := make([][]int, len(points))
+	classShares := make([][]int, len(points))
+	type shareKey struct{ class, p int }
+	first := make(map[shareKey]int, len(points))
+	for pi, c := range classes {
+		k := shareKey{c, points[pi].Spec.P}
+		s, ok := first[k]
+		if !ok {
+			s = pi
+			first[k] = pi
+			classShares[c] = append(classShares[c], pi)
+		}
+		shares[pi] = s
+		members[s] = append(members[s], pi)
+	}
 	return &unitModels{
-		cache:    cache,
-		classes:  packClasses(points),
-		packs:    make(map[packKey][]model.Task),
-		interned: make(map[uint64][][]model.Task),
+		cache:       cache,
+		classes:     classes,
+		shares:      shares,
+		members:     members,
+		classShares: classShares,
+		grouped:     grouped,
+		groups:      make(map[packKey]*repGroup),
+		interned:    make(map[uint64]*internedPack),
+		closedBelow: make([]int, len(points)),
 	}
 }
 
-// packFor returns the canonical task pack of (point pi, replicate rep),
-// generating it on first use from the point's class stream. genSpec is
-// the caller's already-validated generation spec (the point's workload
-// with the fault fields zeroed for fault-free-only scenarios); points
-// of one class agree on every field Generate reads, so whichever point
-// generates first, the bytes are the same. ws provides the reseedable
-// RNG arena.
-func (um *unitModels) packFor(ws *workerState, seed uint64, genSpec workload.Spec, pi, rep int) ([]model.Task, error) {
-	class := um.classes[pi]
-	key := packKey{class: class, rep: rep}
+// packFor returns the canonical task pack of (point pi, replicate rep)
+// and the cache group that pins the tables compiled over it (nil when
+// tables must not be pinned). The pack is drawn on first use from the
+// point's class stream, or taken from an open group of another share
+// class of the same pack class. genSpec is the caller's
+// already-validated generation spec (the point's workload with the fault
+// fields zeroed for fault-free-only scenarios); points of one class
+// agree on every field Generate reads, so whichever point generates
+// first, the bytes are the same. ws provides the reseedable RNG arena.
+func (um *unitModels) packFor(ws *workerState, seed uint64, genSpec workload.Spec, pi, rep int) ([]model.Task, *model.CacheGroup, error) {
+	class, share := um.classes[pi], um.shares[pi]
+	key := packKey{share: share, rep: rep}
 	um.mu.Lock()
-	if tasks, ok := um.packs[key]; ok {
+	if g := um.groups[key]; g != nil && g.tasks != nil {
 		um.mu.Unlock()
-		return tasks, nil
+		return g.tasks, g.pins, nil
+	}
+	var tasks []model.Task
+	for _, s := range um.classShares[class] {
+		if g := um.groups[packKey{share: s, rep: rep}]; g != nil && g.tasks != nil {
+			tasks = g.tasks
+			break
+		}
 	}
 	um.mu.Unlock()
 
-	// Generate outside the lock (two workers may race; the memo re-check
-	// below keeps exactly one canonical pack).
-	ws.taskRNG.Reseed(rng.SubSeed(seed, streamTasks, uint64(class), uint64(rep)))
-	tasks, err := genSpec.Generate(ws.taskRNG)
-	if err != nil {
-		return nil, err
+	if tasks == nil {
+		// Generate outside the lock (two workers may race; the memo
+		// re-check below keeps exactly one canonical pack).
+		ws.taskRNG.Reseed(rng.SubSeed(seed, streamTasks, uint64(class), uint64(rep)))
+		var err error
+		if tasks, err = genSpec.Generate(ws.taskRNG); err != nil {
+			return nil, nil, err
+		}
 	}
 
 	um.mu.Lock()
 	defer um.mu.Unlock()
-	if cached, ok := um.packs[key]; ok {
-		return cached, nil
+	if um.grouped && rep < um.closedBelow[share] {
+		// The group already closed: a late speculative unit runs on its
+		// private pack and compiles unpinned.
+		return tasks, nil, nil
 	}
-	tasks = um.internLocked(tasks)
-	um.packs[key] = tasks
-	return tasks, nil
+	g := um.groups[key]
+	if g == nil {
+		g = &repGroup{}
+		um.groups[key] = g
+	}
+	if g.tasks == nil {
+		g.tasks, g.intern = um.internLocked(tasks)
+		if um.grouped {
+			g.pins = um.cache.OpenGroup()
+		}
+	}
+	return g.tasks, g.pins, nil
+}
+
+// expect opens the replicate group (share, rep) for n units about to be
+// dispatched; fixed runs call it before the group's first unit goes out.
+func (um *unitModels) expect(share, rep, n int) {
+	um.mu.Lock()
+	um.groups[packKey{share: share, rep: rep}] = &repGroup{pending: n}
+	um.mu.Unlock()
+}
+
+// finish records that one dispatched unit of (point pi, replicate rep)
+// is done — run or failed — and closes its group after the last one.
+func (um *unitModels) finish(pi, rep int) {
+	key := packKey{share: um.shares[pi], rep: rep}
+	um.mu.Lock()
+	defer um.mu.Unlock()
+	if g := um.groups[key]; g != nil {
+		if g.pending--; g.pending == 0 {
+			um.closeLocked(key, g)
+		}
+	}
+}
+
+// closeBelow closes every group of share class below replicate f for
+// good — adaptive runs call it once no live point of the class can run
+// them.
+func (um *unitModels) closeBelow(share, f int) {
+	um.mu.Lock()
+	defer um.mu.Unlock()
+	if f <= um.closedBelow[share] {
+		return
+	}
+	um.closedBelow[share] = f
+	for key, g := range um.groups {
+		if key.share == share && key.rep < f {
+			um.closeLocked(key, g)
+		}
+	}
+}
+
+// closeAll closes every open group. Run defers it, so no pin outlives
+// the campaign on any return path.
+func (um *unitModels) closeAll() {
+	um.mu.Lock()
+	defer um.mu.Unlock()
+	for key, g := range um.groups {
+		um.closeLocked(key, g)
+	}
+}
+
+// closeLocked drops a group: its cache pins, its memo entry, and its
+// use of the interned pack, which is forgotten once no open group uses
+// it.
+func (um *unitModels) closeLocked(key packKey, g *repGroup) {
+	delete(um.groups, key)
+	g.pins.Close()
+	ip := g.intern
+	if ip == nil {
+		return
+	}
+	if ip.users--; ip.users > 0 {
+		return
+	}
+	if head := um.interned[ip.fp]; head == ip {
+		if ip.next != nil {
+			um.interned[ip.fp] = ip.next
+		} else {
+			delete(um.interned, ip.fp)
+		}
+	} else {
+		for p := head; p != nil; p = p.next {
+			if p.next == ip {
+				p.next = ip.next
+				break
+			}
+		}
+	}
 }
 
 // internLocked canonicalizes a pack by content: content-equal packs
-// (homogeneous replicates, coinciding draws) collapse to the first
-// slice seen. Packs with incomparable profiles pass through unchanged.
-func (um *unitModels) internLocked(tasks []model.Task) []model.Task {
+// (homogeneous replicates, coinciding draws, one replicate's pack across
+// share classes) collapse to the first slice seen while some open group
+// uses it. Packs with incomparable profiles pass through unchanged (and
+// untracked).
+func (um *unitModels) internLocked(tasks []model.Task) ([]model.Task, *internedPack) {
 	fp, ok := model.PackFingerprint(tasks)
 	if !ok {
-		return tasks
+		return tasks, nil
 	}
-	for _, cand := range um.interned[fp] {
-		if eq, ok := model.PacksEqual(cand, tasks); ok && eq {
-			return cand
+	for ip := um.interned[fp]; ip != nil; ip = ip.next {
+		if &ip.tasks[0] == &tasks[0] && len(ip.tasks) == len(tasks) {
+			ip.users++
+			return ip.tasks, ip
+		}
+		if eq, ok := model.PacksEqual(ip.tasks, tasks); ok && eq {
+			ip.users++
+			return ip.tasks, ip
 		}
 	}
-	um.interned[fp] = append(um.interned[fp], tasks)
-	return tasks
+	ip := &internedPack{tasks: tasks, fp: fp, users: 1, next: um.interned[fp]}
+	um.interned[fp] = ip
+	return tasks, ip
+}
+
+// dispatch hands every unrestored unit of a fixed campaign (reps
+// replicates per point) to send, group-major: pack class by pack class,
+// replicate-major within one, so the share classes' groups of one
+// replicate go out together — drawing their pack once — and close soon
+// after. Each group is opened with its unit count before its first unit
+// is sent. dispatch stops early when send returns false.
+func (um *unitModels) dispatch(reps int, restored []bool, send func(unit int) bool) {
+	for _, shares := range um.classShares {
+		for rep := 0; rep < reps; rep++ {
+			for _, s := range shares {
+				n := 0
+				for _, pi := range um.members[s] {
+					if !restored[pi*reps+rep] {
+						n++
+					}
+				}
+				if n > 0 {
+					um.expect(s, rep, n)
+				}
+			}
+			for _, s := range shares {
+				for _, pi := range um.members[s] {
+					if unit := pi*reps + rep; !restored[unit] && !send(unit) {
+						return
+					}
+				}
+			}
+		}
+	}
 }

@@ -60,7 +60,7 @@ func NewUnitRunner(sp scenario.Spec) (*UnitRunner, error) {
 		points:    points,
 		policies:  policies,
 		semantics: semantics,
-		um:        newUnitModels(points, modelCacheFor(Options{})),
+		um:        newUnitModels(points, modelCacheFor(Options{}), false),
 		trace:     trace,
 		ws:        getWorkerState(),
 	}, nil

@@ -4,17 +4,18 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// DefaultCacheBytes is the default resident-byte budget of a Cache:
-// enough for hundreds of paper-scale tables (n = 100, p = 1000 is
-// ~450 KB) without threatening a laptop.
+// DefaultCacheBytes is the default idle-byte budget of a Cache: enough
+// for hundreds of paper-scale tables (n = 100, p = 1000 is ~450 KB)
+// without threatening a laptop.
 const DefaultCacheBytes = 1 << 28 // 256 MiB
 
-// cacheShardCount spreads the cache over independently locked shards.
-// Sharding is by base key (pack, cost model, platform), so every
-// resilience variant of one pack lands in one shard and a miss can scan
-// its shard for a delta base without a second lock.
+// cacheShardCount spreads the cache's key maps over independently
+// locked shards. Sharding is by base key (pack, cost model, platform),
+// so every resilience variant of one pack lands in one shard and a miss
+// can scan its shard for a delta base without a second lock.
 const cacheShardCount = 16
 
 // Cache is a content-addressed, ref-counted cache of compiled instance
@@ -24,22 +25,36 @@ const cacheShardCount = 16
 // compare — hash collisions cost a compare, never a wrong table.
 //
 // Entries are immutable after publish: Acquire hands out read-only
-// *Compiled handles and a refcount keeps the arena alive until the last
-// Release. A near-miss — same pack, platform and cost model, different
-// resilience parameters — is built by Compiled.RecompileDelta from a
-// resident base entry, rewriting only the parameter-dependent columns;
-// the result is bit-identical to a cold Compile (the cache's whole
-// contract; see DESIGN.md §15). Evicted or fully released arenas are
-// recycled through a sync.Pool, so a churning cache stops allocating
-// once warm. Packs containing profile types this package cannot compare
-// by content are refused (Acquire returns nil) and the caller compiles
-// privately.
+// *Compiled handles and a hold count keeps the arena alive until the
+// last Release. A near-miss — same pack, platform and cost model,
+// different resilience parameters — is built by Compiled.RecompileDelta
+// from a resident base entry, rewriting only the parameter-dependent
+// columns; the result is bit-identical to a cold Compile (the cache's
+// whole contract; see DESIGN.md §15). Packs containing profile types
+// this package cannot compare by content are refused (Acquire returns
+// nil) and the caller compiles privately.
+//
+// Residency: an entry stays resident while an Acquire holds it or an
+// open CacheGroup pins it. Entries that are neither — idle entries — are
+// kept only within the cache's byte budget, one global budget charged
+// by column capacity and enforced on every Release and Close, evicting
+// the least recently idled first. Evicted arenas are recycled through a
+// sync.Pool, so a churning cache reuses table columns instead of
+// allocating them.
 //
 // A nil *Cache is valid and never caches.
 type Cache struct {
-	shardBudget int64
-	shards      [cacheShardCount]cacheShard
-	pool        sync.Pool // recycled *Compiled arenas
+	budget int64 // bytes of idle entries kept resident
+	shards [cacheShardCount]cacheShard
+	pool   sync.Pool // recycled *Compiled arenas
+
+	// idle lists the entries no Acquire holds and no group pins, oldest
+	// first; the eviction order. Guarded by idleMu, which nests inside
+	// the shard locks.
+	idleMu    sync.Mutex
+	idleHead  *CacheEntry
+	idleTail  *CacheEntry
+	idleBytes int64
 
 	hits        atomic.Uint64
 	misses      atomic.Uint64
@@ -47,25 +62,29 @@ type Cache struct {
 	fullBuilds  atomic.Uint64
 	evictions   atomic.Uint64
 	bytes       atomic.Int64
+	peak        atomic.Int64
 	entries     atomic.Int64
+	groups      atomic.Int64
 }
 
 type cacheShard struct {
 	mu sync.Mutex
-	// full buckets entries by the full key (pack, rc, p, res); base
-	// buckets the same entries by the base key (pack, rc, p) for
-	// delta-base lookups. Buckets are small slices: collisions are rare
-	// and every candidate is verified by content anyway.
-	full  map[uint64][]*CacheEntry
-	base  map[uint64][]*CacheEntry
-	order []*CacheEntry // insertion order, the FIFO eviction scan
-	bytes int64
+	// full chains entries by the full key (pack, rc, p, res) through
+	// nextFull; base chains the same entries by the base key (pack, rc,
+	// p) through nextBase, for delta-base lookups. Chains are short —
+	// collisions are rare, a base key has one entry per resilience
+	// variant — and every candidate is verified by content anyway.
+	full map[uint64]*CacheEntry
+	base map[uint64]*CacheEntry
+	// building lists the entries whose compile is in flight; they join
+	// full and base when it finishes.
+	building []*CacheEntry
 }
 
-// CacheEntry is one published compiled model plus its refcount. The
-// tables behind Compiled() are immutable until the entry's last Release;
-// callers must treat them as read-only and must not call Recompile,
-// AppendTask or TruncateExtra on them.
+// CacheEntry is one published compiled model plus its reference
+// counts. The tables behind Compiled() are immutable while the entry is
+// held; callers must treat them as read-only and must not call
+// Recompile, AppendTask or TruncateExtra on them.
 type CacheEntry struct {
 	cache   *Cache
 	shard   *cacheShard
@@ -73,55 +92,80 @@ type CacheEntry struct {
 	fullKey uint64
 	baseKey uint64
 	bytes   int64
-	// refs is guarded by shard.mu: 1 for cache residency plus 1 per
-	// outstanding Acquire. Eviction drops the residency ref only when no
-	// user holds the entry, so a handed-out table can never be recycled
-	// under a reader.
-	refs int
+	// The key the entry was built for, compared on every lookup.
+	tasks []Task
+	res   Resilience
+	rc    CostModel
+	p     int
+	// built is released when the entry's compile finishes (or fails).
+	built sync.WaitGroup
+	// Hash-chain links, guarded by shard.mu.
+	nextFull, nextBase *CacheEntry
+	// holds (outstanding Acquires) and pins (open groups pinning the
+	// entry) are guarded by shard.mu. Only an entry with neither is on
+	// the idle list, so eviction can never recycle a table under a
+	// reader.
+	holds int
+	pins  int
+	// idle list links and membership, guarded by cache.idleMu.
+	prev, next *CacheEntry
+	idle       bool
 }
 
 // Compiled returns the entry's immutable compiled model.
 func (e *CacheEntry) Compiled() *Compiled { return e.c }
 
 // CacheStats is a point-in-time counter snapshot. The counters are
-// cumulative over the cache's lifetime; ResidentBytes and Entries are
-// levels.
+// cumulative over the cache's lifetime; ResidentBytes, Entries and
+// OpenGroups are levels, PeakResidentBytes the high-water mark of
+// ResidentBytes since the cache was built or ResetPeak last ran.
 type CacheStats struct {
-	Hits          uint64
-	Misses        uint64
-	DeltaBuilds   uint64 // misses served by RecompileDelta's column reuse
-	FullBuilds    uint64 // misses that paid a cold compile
-	Evictions     uint64
-	ResidentBytes int64
-	Entries       int64
+	Hits              uint64
+	Misses            uint64
+	DeltaBuilds       uint64 // misses served by RecompileDelta's column reuse
+	FullBuilds        uint64 // misses that paid a cold compile
+	Evictions         uint64
+	ResidentBytes     int64
+	Entries           int64
+	PeakResidentBytes int64
+	OpenGroups        int64
 }
 
 // Delta returns the counter difference s − prev, keeping the level
-// fields (ResidentBytes, Entries) at their current values — the shape a
-// per-campaign report wants from a process-lifetime cache.
+// fields (ResidentBytes, Entries, PeakResidentBytes, OpenGroups) at
+// their current values — the shape a per-campaign report wants from a
+// process-lifetime cache.
 func (s CacheStats) Delta(prev CacheStats) CacheStats {
-	return CacheStats{
-		Hits:          s.Hits - prev.Hits,
-		Misses:        s.Misses - prev.Misses,
-		DeltaBuilds:   s.DeltaBuilds - prev.DeltaBuilds,
-		FullBuilds:    s.FullBuilds - prev.FullBuilds,
-		Evictions:     s.Evictions - prev.Evictions,
-		ResidentBytes: s.ResidentBytes,
-		Entries:       s.Entries,
-	}
+	d := s
+	d.Hits -= prev.Hits
+	d.Misses -= prev.Misses
+	d.DeltaBuilds -= prev.DeltaBuilds
+	d.FullBuilds -= prev.FullBuilds
+	d.Evictions -= prev.Evictions
+	return d
 }
 
-// NewCache returns a cache bounded by maxBytes resident table bytes
-// (DefaultCacheBytes when maxBytes ≤ 0). The bound is enforced per
-// shard, FIFO among entries no caller currently holds.
+// NewCache returns a cache that keeps up to maxBytes of idle table
+// bytes resident (DefaultCacheBytes when maxBytes ≤ 0), on top of the
+// entries currently held or pinned.
 func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	ch := &Cache{shardBudget: maxBytes / cacheShardCount}
+	return newCache(maxBytes)
+}
+
+// NewTransientCache returns a cache with a zero idle budget: an entry
+// stays resident only while some Acquire holds it or some open group
+// pins it, and is evicted on its last Release or Close. Sharing then
+// happens only among units that overlap in time or belong to one group.
+func NewTransientCache() *Cache { return newCache(0) }
+
+func newCache(budget int64) *Cache {
+	ch := &Cache{budget: budget}
 	for i := range ch.shards {
-		ch.shards[i].full = make(map[uint64][]*CacheEntry)
-		ch.shards[i].base = make(map[uint64][]*CacheEntry)
+		ch.shards[i].full = make(map[uint64]*CacheEntry)
+		ch.shards[i].base = make(map[uint64]*CacheEntry)
 	}
 	return ch
 }
@@ -133,13 +177,23 @@ func (ch *Cache) Stats() CacheStats {
 		return CacheStats{}
 	}
 	return CacheStats{
-		Hits:          ch.hits.Load(),
-		Misses:        ch.misses.Load(),
-		DeltaBuilds:   ch.deltaBuilds.Load(),
-		FullBuilds:    ch.fullBuilds.Load(),
-		Evictions:     ch.evictions.Load(),
-		ResidentBytes: ch.bytes.Load(),
-		Entries:       ch.entries.Load(),
+		Hits:              ch.hits.Load(),
+		Misses:            ch.misses.Load(),
+		DeltaBuilds:       ch.deltaBuilds.Load(),
+		FullBuilds:        ch.fullBuilds.Load(),
+		Evictions:         ch.evictions.Load(),
+		ResidentBytes:     ch.bytes.Load(),
+		Entries:           ch.entries.Load(),
+		PeakResidentBytes: ch.peak.Load(),
+		OpenGroups:        ch.groups.Load(),
+	}
+}
+
+// ResetPeak restarts the PeakResidentBytes high-water mark at the
+// current resident level, so a driver can measure one stretch of work.
+func (ch *Cache) ResetPeak() {
+	if ch != nil {
+		ch.peak.Store(ch.bytes.Load())
 	}
 }
 
@@ -161,23 +215,51 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	sh := &ch.shards[bk%cacheShardCount]
 
 	sh.mu.Lock()
-	if e := sh.lookupLocked(fk, tasks, res, rc, p); e != nil {
-		e.refs++
-		sh.mu.Unlock()
-		ch.hits.Add(1)
-		return e, nil
-	}
-	// Miss. Pin a delta base — any resident entry over the same pack,
-	// cost model and platform — before unlocking, so it cannot be
-	// evicted or recycled while we read its columns.
 	var baseE *CacheEntry
-	for _, e := range sh.base[bk] {
-		if e.c.rc == rc && e.c.p == p && samePack(tasks, e.c.tasks) {
-			baseE = e
-			e.refs++
-			break
+	for {
+		if e := sh.lookupLocked(fk, tasks, res, rc, p); e != nil {
+			ch.holdLocked(e)
+			sh.mu.Unlock()
+			ch.hits.Add(1)
+			return e, nil
 		}
+		// A miss builds from a delta base — any resident entry over the
+		// same pack, cost model and platform — when there is one. Another
+		// worker already compiling this key, or this pack while no base is
+		// resident, is waited for instead: its table is then a hit or a
+		// delta base, never a second compile of the same columns.
+		keyBuild, packBuild := sh.buildingLocked(fk, tasks, res, rc, p)
+		if keyBuild == nil {
+			if baseE = sh.baseLocked(bk, tasks, rc, p); baseE != nil || packBuild == nil {
+				break
+			}
+		}
+		w := keyBuild
+		if w == nil {
+			w = packBuild
+		}
+		sh.mu.Unlock()
+		w.built.Wait()
+		sh.mu.Lock()
 	}
+	// Hold the base before unlocking, so it cannot be evicted or
+	// recycled while we read its columns.
+	if baseE != nil {
+		ch.holdLocked(baseE)
+	}
+	e := &CacheEntry{
+		cache:   ch,
+		shard:   sh,
+		fullKey: fk,
+		baseKey: bk,
+		tasks:   tasks,
+		res:     res,
+		rc:      rc,
+		p:       p,
+		holds:   1, // the caller
+	}
+	e.built.Add(1)
+	sh.building = append(sh.building, e)
 	sh.mu.Unlock()
 	ch.misses.Add(1)
 
@@ -188,6 +270,16 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	}
 	delta, err := build.RecompileDelta(baseC, tasks, res, rc, p)
 	baseE.Release()
+
+	sh.mu.Lock()
+	sh.building = removeEntry(sh.building, e)
+	if err == nil {
+		e.c = build
+		e.bytes = compiledBytes(build)
+		sh.link(e)
+	}
+	sh.mu.Unlock()
+	e.built.Done()
 	if err != nil {
 		ch.putArena(build)
 		return nil, err
@@ -197,45 +289,187 @@ func (ch *Cache) Acquire(tasks []Task, res Resilience, rc CostModel, p int) (*Ca
 	} else {
 		ch.fullBuilds.Add(1)
 	}
-
-	sh.mu.Lock()
-	if w := sh.lookupLocked(fk, tasks, res, rc, p); w != nil {
-		// Another worker published the same key while we compiled:
-		// first publish wins, our build goes back to the arena pool.
-		w.refs++
-		sh.mu.Unlock()
-		ch.putArena(build)
-		return w, nil
-	}
-	e := &CacheEntry{
-		cache:   ch,
-		shard:   sh,
-		c:       build,
-		fullKey: fk,
-		baseKey: bk,
-		bytes:   compiledBytes(build),
-		refs:    2, // residency + the caller
-	}
-	sh.full[fk] = append(sh.full[fk], e)
-	sh.base[bk] = append(sh.base[bk], e)
-	sh.order = append(sh.order, e)
-	sh.bytes += e.bytes
-	ch.bytes.Add(e.bytes)
 	ch.entries.Add(1)
-	sh.evictLocked(ch)
-	sh.mu.Unlock()
+	ch.raisePeak(ch.bytes.Add(e.bytes))
 	return e, nil
 }
 
-// Release returns one Acquire's reference. Safe on a nil entry.
+// raisePeak lifts the PeakResidentBytes high-water mark to resident.
+func (ch *Cache) raisePeak(resident int64) {
+	for peak := ch.peak.Load(); resident > peak; peak = ch.peak.Load() {
+		if ch.peak.CompareAndSwap(peak, resident) {
+			return
+		}
+	}
+}
+
+// Release returns one Acquire's hold. An entry left neither held nor
+// pinned becomes idle and may be evicted at once. Safe on a nil entry.
 func (e *CacheEntry) Release() {
 	if e == nil {
 		return
 	}
-	sh := e.shard
-	sh.mu.Lock()
-	e.refs--
-	sh.mu.Unlock()
+	ch := e.cache
+	e.shard.mu.Lock()
+	e.holds--
+	ch.idleIfUnusedLocked(e)
+	e.shard.mu.Unlock()
+	ch.evict()
+}
+
+// CacheGroup pins cache entries on behalf of a group of units that
+// reuse them — a campaign's replicate group, whose points share one
+// pack. A pinned entry stays resident, outside the idle budget, until
+// the group closes. A nil *CacheGroup pins nothing.
+type CacheGroup struct {
+	cache  *Cache
+	mu     sync.Mutex
+	pinned []*CacheEntry
+	closed bool
+	inline [8]*CacheEntry // pinned's first backing array
+}
+
+// OpenGroup returns a new open group (nil on a nil cache).
+func (ch *Cache) OpenGroup() *CacheGroup {
+	if ch == nil {
+		return nil
+	}
+	ch.groups.Add(1)
+	g := &CacheGroup{cache: ch}
+	g.pinned = g.inline[:0]
+	return g
+}
+
+// Pin keeps e resident until the group closes. The caller must hold e
+// (between its Acquire and Release). Pinning an entry the group already
+// pins, pinning into a closed group, and pinning a nil entry are no-ops.
+func (g *CacheGroup) Pin(e *CacheEntry) {
+	if g == nil || e == nil {
+		return
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return
+	}
+	for _, p := range g.pinned {
+		if p == e {
+			return
+		}
+	}
+	e.shard.mu.Lock()
+	e.pins++
+	e.shard.mu.Unlock()
+	g.pinned = append(g.pinned, e)
+}
+
+// Close drops every pin the group holds; entries left neither held nor
+// pinned become idle and fall under the budget. Closing twice is a
+// no-op.
+func (g *CacheGroup) Close() {
+	if g == nil {
+		return
+	}
+	g.mu.Lock()
+	if g.closed {
+		g.mu.Unlock()
+		return
+	}
+	g.closed = true
+	pinned := g.pinned
+	g.pinned = nil
+	g.mu.Unlock()
+	ch := g.cache
+	for _, e := range pinned {
+		e.shard.mu.Lock()
+		e.pins--
+		ch.idleIfUnusedLocked(e)
+		e.shard.mu.Unlock()
+	}
+	ch.groups.Add(-1)
+	ch.evict()
+}
+
+// holdLocked takes one hold on a resident entry, lifting it off the
+// idle list. The caller holds e.shard.mu.
+func (ch *Cache) holdLocked(e *CacheEntry) {
+	if e.holds == 0 && e.pins == 0 {
+		ch.idleMu.Lock()
+		ch.unlinkIdleLocked(e)
+		ch.idleMu.Unlock()
+	}
+	e.holds++
+}
+
+// idleIfUnusedLocked appends e to the idle list once nothing holds or
+// pins it. The caller holds e.shard.mu.
+func (ch *Cache) idleIfUnusedLocked(e *CacheEntry) {
+	if e.holds != 0 || e.pins != 0 {
+		return
+	}
+	ch.idleMu.Lock()
+	e.idle = true
+	e.prev, e.next = ch.idleTail, nil
+	if ch.idleTail != nil {
+		ch.idleTail.next = e
+	} else {
+		ch.idleHead = e
+	}
+	ch.idleTail = e
+	ch.idleBytes += e.bytes
+	ch.idleMu.Unlock()
+}
+
+// unlinkIdleLocked removes e from the idle list. The caller holds
+// ch.idleMu.
+func (ch *Cache) unlinkIdleLocked(e *CacheEntry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		ch.idleHead = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		ch.idleTail = e.prev
+	}
+	e.prev, e.next, e.idle = nil, nil, false
+	ch.idleBytes -= e.bytes
+}
+
+// evict enforces the idle budget, oldest idle entry first. It runs
+// with no lock held: the victim's shard lock must be taken before
+// idleMu, so each round re-checks under both that the victim is still
+// idle (a concurrent hit may have taken it back) and still over budget.
+func (ch *Cache) evict() {
+	for {
+		ch.idleMu.Lock()
+		e := ch.idleHead
+		if e == nil || ch.idleBytes <= ch.budget {
+			ch.idleMu.Unlock()
+			return
+		}
+		ch.idleMu.Unlock()
+
+		sh := e.shard
+		sh.mu.Lock()
+		ch.idleMu.Lock()
+		if !e.idle || ch.idleBytes <= ch.budget {
+			ch.idleMu.Unlock()
+			sh.mu.Unlock()
+			continue
+		}
+		ch.unlinkIdleLocked(e)
+		ch.idleMu.Unlock()
+		sh.unlink(e)
+		c := e.c
+		e.c = nil
+		sh.mu.Unlock()
+		ch.bytes.Add(-e.bytes)
+		ch.entries.Add(-1)
+		ch.evictions.Add(1)
+		ch.putArena(c)
+	}
 }
 
 // lookupLocked finds a published entry with exactly this content.
@@ -243,13 +477,46 @@ func (e *CacheEntry) Release() {
 // pack compare takes the pointer fast path when the caller interned its
 // packs (same slice), and falls back to a full content compare.
 func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc CostModel, p int) *CacheEntry {
-	for _, e := range sh.full[fk] {
-		c := e.c
-		if c.res == res && c.rc == rc && c.p == p && samePack(tasks, c.tasks) {
+	for e := sh.full[fk]; e != nil; e = e.nextFull {
+		if e.res == res && e.sameBase(tasks, rc, p) {
 			return e
 		}
 	}
 	return nil
+}
+
+// baseLocked finds a published entry over the same pack, cost model and
+// platform — a delta base.
+func (sh *cacheShard) baseLocked(bk uint64, tasks []Task, rc CostModel, p int) *CacheEntry {
+	for e := sh.base[bk]; e != nil; e = e.nextBase {
+		if e.sameBase(tasks, rc, p) {
+			return e
+		}
+	}
+	return nil
+}
+
+// buildingLocked scans the compiles in flight for one of exactly this
+// key and for one over the same pack, cost model and platform.
+func (sh *cacheShard) buildingLocked(fk uint64, tasks []Task, res Resilience, rc CostModel, p int) (keyBuild, packBuild *CacheEntry) {
+	for _, e := range sh.building {
+		if !e.sameBase(tasks, rc, p) {
+			continue
+		}
+		if e.fullKey == fk && e.res == res {
+			return e, e
+		}
+		if packBuild == nil {
+			packBuild = e
+		}
+	}
+	return nil, packBuild
+}
+
+// sameBase reports whether e is keyed by this pack, cost model and
+// platform.
+func (e *CacheEntry) sameBase(tasks []Task, rc CostModel, p int) bool {
+	return e.rc == rc && e.p == p && samePack(tasks, e.tasks)
 }
 
 // samePack is PacksEqual with the same-slice fast path.
@@ -264,40 +531,52 @@ func samePack(a, b []Task) bool {
 	return ok && eq
 }
 
-// evictLocked enforces the shard's byte budget: oldest-first among
-// entries no caller holds (refs == 1). In-use entries are skipped and
-// reconsidered on the next insert; a shard wholly pinned by active
-// users may transiently exceed its budget rather than stall compiles.
-func (sh *cacheShard) evictLocked(ch *Cache) {
-	for sh.bytes > ch.shardBudget {
-		victim := -1
-		for i, e := range sh.order {
-			if e.refs == 1 {
-				victim = i
+// link publishes e at the tail of its full- and base-key chains, so
+// lookups meet older entries first.
+func (sh *cacheShard) link(e *CacheEntry) {
+	chainAppend(sh.full, e.fullKey, e, fullLink)
+	chainAppend(sh.base, e.baseKey, e, baseLink)
+}
+
+// unlink removes e from both chains, dropping emptied map keys.
+func (sh *cacheShard) unlink(e *CacheEntry) {
+	chainRemove(sh.full, e.fullKey, e, fullLink)
+	chainRemove(sh.base, e.baseKey, e, baseLink)
+}
+
+func fullLink(e *CacheEntry) **CacheEntry { return &e.nextFull }
+func baseLink(e *CacheEntry) **CacheEntry { return &e.nextBase }
+
+// chainAppend appends e to the chain m[k], linked through next.
+func chainAppend(m map[uint64]*CacheEntry, k uint64, e *CacheEntry, next func(*CacheEntry) **CacheEntry) {
+	p := m[k]
+	if p == nil {
+		m[k] = e
+		return
+	}
+	for *next(p) != nil {
+		p = *next(p)
+	}
+	*next(p) = e
+}
+
+// chainRemove removes e from the chain m[k], linked through next.
+func chainRemove(m map[uint64]*CacheEntry, k uint64, e *CacheEntry, next func(*CacheEntry) **CacheEntry) {
+	if m[k] == e {
+		if n := *next(e); n != nil {
+			m[k] = n
+		} else {
+			delete(m, k)
+		}
+	} else {
+		for p := m[k]; p != nil; p = *next(p) {
+			if *next(p) == e {
+				*next(p) = *next(e)
 				break
 			}
 		}
-		if victim < 0 {
-			return
-		}
-		e := sh.order[victim]
-		sh.order = append(sh.order[:victim], sh.order[victim+1:]...)
-		sh.full[e.fullKey] = removeEntry(sh.full[e.fullKey], e)
-		if len(sh.full[e.fullKey]) == 0 {
-			delete(sh.full, e.fullKey)
-		}
-		sh.base[e.baseKey] = removeEntry(sh.base[e.baseKey], e)
-		if len(sh.base[e.baseKey]) == 0 {
-			delete(sh.base, e.baseKey)
-		}
-		sh.bytes -= e.bytes
-		ch.bytes.Add(-e.bytes)
-		ch.entries.Add(-1)
-		ch.evictions.Add(1)
-		e.refs = 0
-		ch.putArena(e.c)
-		e.c = nil
 	}
+	*next(e) = nil
 }
 
 func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
@@ -319,18 +598,23 @@ func (ch *Cache) getArena() *Compiled {
 	return &Compiled{}
 }
 
+// putArena recycles an arena, dropping its pack reference so a pooled
+// arena does not keep an evicted pack alive.
 func (ch *Cache) putArena(c *Compiled) {
 	if c != nil {
+		c.tasks = nil
 		ch.pool.Put(c)
 	}
 }
 
-// compiledBytes estimates an entry's resident footprint for the byte
-// budget: 11 float64 columns plus seg/data and the task headers.
+// compiledBytes charges an entry's resident footprint to the budget:
+// the capacity of every column — a recycled arena keeps the capacity of
+// the largest table it ever held — plus the task headers.
 func compiledBytes(c *Compiled) int64 {
-	cells := int64(len(c.tj))
-	n := int64(len(c.tasks))
-	return cells*11*8 + n*(8+1+64)
+	cols := cap(c.tj) + cap(c.ck) + cap(c.rec) + cap(c.tau) + cap(c.work) + cap(c.lj) +
+		cap(c.expFac) + cap(c.prefac) + cap(c.expPer) + cap(c.slj) + cap(c.v) + cap(c.data)
+	return int64(cols)*8 + int64(cap(c.seg))*int64(unsafe.Sizeof(segKind(0))) +
+		int64(len(c.tasks))*int64(unsafe.Sizeof(Task{}))
 }
 
 // packBaseKey hashes the resilience-independent half of the cache key:

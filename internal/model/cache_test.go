@@ -292,6 +292,99 @@ func TestCacheEviction(t *testing.T) {
 	_ = year
 }
 
+// idleBytesByCap walks every shard and sums the capacity-charged bytes
+// of resident entries nothing holds or pins — the bytes the budget
+// bounds — recomputed from the tables themselves.
+func idleBytesByCap(ch *Cache) int64 {
+	var idle int64
+	for i := range ch.shards {
+		sh := &ch.shards[i]
+		sh.mu.Lock()
+		for _, head := range sh.full {
+			for e := head; e != nil; e = e.nextFull {
+				if e.holds == 0 && e.pins == 0 {
+					idle += compiledBytes(e.c)
+				}
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return idle
+}
+
+// TestCacheGlobalBudget pins the caller-owned budget: with entries
+// spread over every shard, the cache never keeps more than its budget
+// of idle (unheld, unpinned) table bytes, charged by column capacity;
+// pinned entries stay resident outside the budget until their group
+// closes; and a table larger than the whole budget is evicted on its
+// last Release.
+func TestCacheGlobalBudget(t *testing.T) {
+	synth := func(m float64) Task {
+		return Task{Data: m, Ckpt: m, Profile: Synthetic{M: m, SeqFraction: 0.08}}
+	}
+	res := Resilience{Lambda: 1e-9, Downtime: 60}
+	const p = 16
+	pack := func(i int) []Task { return []Task{synth(1e6 + float64(i)), synth(2e6)} }
+	one, err := Compile(pack(0), res, CostModel{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := 5 * compiledBytes(one)
+	ch := NewCache(budget)
+	g := ch.OpenGroup()
+	var pinned []*Compiled
+	shardsUsed := map[*cacheShard]bool{}
+	for i := 0; i < 40*cacheShardCount; i++ {
+		e, err := ch.Acquire(pack(i), res, CostModel{}, p)
+		if err != nil || e == nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+		shardsUsed[e.shard] = true
+		if i%100 == 0 {
+			g.Pin(e)
+			pinned = append(pinned, e.Compiled())
+		}
+		e.Release()
+		if idle := idleBytesByCap(ch); idle > budget {
+			t.Fatalf("after release %d: %d idle bytes over the %d budget", i, idle, budget)
+		}
+	}
+	if len(shardsUsed) != cacheShardCount {
+		t.Fatalf("entries reached %d of %d shards", len(shardsUsed), cacheShardCount)
+	}
+	s := ch.Stats()
+	if s.OpenGroups != 1 || s.Entries < int64(len(pinned)) {
+		t.Fatalf("pinned entries not resident: %+v", s)
+	}
+	for i, c := range pinned {
+		if c.tasks == nil || c.tasks[0].Data != 1e6+float64(100*i) {
+			t.Fatalf("pinned table %d evicted or recycled", i)
+		}
+	}
+	g.Close()
+	if idle := idleBytesByCap(ch); idle > budget {
+		t.Fatalf("after closing the group: %d idle bytes over the %d budget", idle, budget)
+	}
+	if s := ch.Stats(); s.OpenGroups != 0 || s.ResidentBytes > budget {
+		t.Fatalf("after closing the group: %+v", s)
+	}
+
+	// A table larger than the whole budget lives exactly as long as it
+	// is held or pinned.
+	small := NewCache(compiledBytes(one) / 2)
+	e, err := small.Acquire(pack(0), res, CostModel{}, p)
+	if err != nil || e == nil {
+		t.Fatalf("acquire: %v", err)
+	}
+	if s := small.Stats(); s.Entries != 1 || s.PeakResidentBytes != compiledBytes(one) {
+		t.Fatalf("held oversized table: %+v", s)
+	}
+	e.Release()
+	if s := small.Stats(); s.Entries != 0 || s.ResidentBytes != 0 || s.Evictions != 1 {
+		t.Fatalf("oversized table kept after its last Release: %+v", s)
+	}
+}
+
 // TestCacheConcurrentSharing hammers one cache from many goroutines over
 // a small key set (run under -race): every handle must carry the exact
 // bytes of its key's fresh compile, through hits, races to publish, and

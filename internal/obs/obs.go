@@ -25,6 +25,7 @@ package obs
 
 import (
 	"math"
+	"runtime/metrics"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -220,6 +221,8 @@ type Campaign struct {
 	cacheEvictions   Gauge
 	cacheBytes       Gauge
 	cacheEntries     Gauge
+	cachePeakBytes   Gauge
+	cacheOpenGroups  Gauge
 }
 
 // ObserveJournalSync records one journal fsync that made units unit
@@ -241,10 +244,14 @@ type ModelCacheStats struct {
 	Misses      uint64 `json:"misses"`
 	DeltaBuilds uint64 `json:"delta_builds"`
 	Evictions   uint64 `json:"evictions"`
-	// ResidentBytes and Entries are process-level occupancy, not per-run
-	// deltas: the cache outlives individual campaigns.
-	ResidentBytes int64 `json:"resident_bytes"`
-	Entries       int64 `json:"entries"`
+	// ResidentBytes, Entries, PeakResidentBytes (the high-water mark of
+	// ResidentBytes) and OpenGroups (replicate groups pinning tables) are
+	// process-level levels, not per-run deltas: the cache outlives
+	// individual campaigns.
+	ResidentBytes     int64 `json:"resident_bytes"`
+	Entries           int64 `json:"entries"`
+	PeakResidentBytes int64 `json:"peak_resident_bytes"`
+	OpenGroups        int64 `json:"open_groups"`
 }
 
 // SetModelCache mirrors the compiled-model cache counters into the
@@ -256,6 +263,8 @@ func (c *Campaign) SetModelCache(s ModelCacheStats) {
 	c.cacheEvictions.Set(float64(s.Evictions))
 	c.cacheBytes.Set(float64(s.ResidentBytes))
 	c.cacheEntries.Set(float64(s.Entries))
+	c.cachePeakBytes.Set(float64(s.PeakResidentBytes))
+	c.cacheOpenGroups.Set(float64(s.OpenGroups))
 }
 
 // DistMetrics instruments the distributed coordinator: worker-process
@@ -337,6 +346,9 @@ type Snapshot struct {
 	RunEvents      HistSnapshot    `json:"run_events"`
 	Dist           DistStats       `json:"dist"`
 	ModelCache     ModelCacheStats `json:"model_cache"`
+	// HeapLiveBytes is the Go heap's live bytes as of the last GC
+	// (runtime/metrics), sampled when the snapshot is taken.
+	HeapLiveBytes uint64 `json:"heap_live_bytes"`
 	// JournalFsyncs counts group-commit fsyncs of the campaign journal;
 	// JournalUnitsPerFsync is the batching factor, unit records made
 	// durable per fsync (0 before the first one).
@@ -384,13 +396,16 @@ func (c *Campaign) Snapshot() Snapshot {
 			Heartbeats:       c.Dist.Heartbeats.Value(),
 		},
 		ModelCache: ModelCacheStats{
-			Hits:          uint64(c.cacheHits.Value()),
-			Misses:        uint64(c.cacheMisses.Value()),
-			DeltaBuilds:   uint64(c.cacheDeltaBuilds.Value()),
-			Evictions:     uint64(c.cacheEvictions.Value()),
-			ResidentBytes: int64(c.cacheBytes.Value()),
-			Entries:       int64(c.cacheEntries.Value()),
+			Hits:              uint64(c.cacheHits.Value()),
+			Misses:            uint64(c.cacheMisses.Value()),
+			DeltaBuilds:       uint64(c.cacheDeltaBuilds.Value()),
+			Evictions:         uint64(c.cacheEvictions.Value()),
+			ResidentBytes:     int64(c.cacheBytes.Value()),
+			Entries:           int64(c.cacheEntries.Value()),
+			PeakResidentBytes: int64(c.cachePeakBytes.Value()),
+			OpenGroups:        int64(c.cacheOpenGroups.Value()),
 		},
+		HeapLiveBytes: heapLiveBytes(),
 	}
 	if s.JournalFsyncs = c.journalFsyncs.Value(); s.JournalFsyncs > 0 {
 		s.JournalUnitsPerFsync = float64(c.journalSyncedUnits.Value()) / float64(s.JournalFsyncs)
@@ -427,4 +442,19 @@ func (c *Campaign) Snapshot() Snapshot {
 		s.ETASeconds = float64(remaining) / s.UnitsPerSec
 	}
 	return s
+}
+
+// heapLiveMetric is the runtime/metrics name of the live heap: bytes
+// of heap objects marked live by the last completed GC.
+const heapLiveMetric = "/gc/heap/live:bytes"
+
+// heapLiveBytes samples the Go live heap; 0 where the runtime does not
+// export the metric.
+func heapLiveBytes() uint64 {
+	sample := []metrics.Sample{{Name: heapLiveMetric}}
+	metrics.Read(sample)
+	if sample[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return sample[0].Value.Uint64()
 }

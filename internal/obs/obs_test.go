@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -292,5 +293,37 @@ func TestPublishRegistry(t *testing.T) {
 	defer rel3()
 	if n3 != "dup" {
 		t.Fatalf("freed name not reused: %q", n3)
+	}
+}
+
+// TestModelCacheResidencyTelemetry: the cache's peak resident bytes and
+// open-group count render as gauges and ride the heartbeat, next to the
+// Go live heap sampled at snapshot time.
+func TestModelCacheResidencyTelemetry(t *testing.T) {
+	c := NewCampaign()
+	c.SetModelCache(ModelCacheStats{Misses: 3, ResidentBytes: 1024, Entries: 1, PeakResidentBytes: 4096, OpenGroups: 2})
+	runtime.GC() // the live heap is measured by the last completed GC
+	s := c.Snapshot()
+	if s.HeapLiveBytes == 0 {
+		t.Fatal("snapshot did not sample the live heap")
+	}
+	var buf bytes.Buffer
+	if err := writePrometheus(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"# TYPE cosched_model_cache_peak_resident_bytes gauge",
+		"cosched_model_cache_peak_resident_bytes 4096",
+		"# TYPE cosched_model_cache_open_groups gauge",
+		"cosched_model_cache_open_groups 2",
+		"# TYPE cosched_go_heap_live_bytes gauge",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("missing %q in render:\n%s", want, buf.String())
+		}
+	}
+	p := s.Progress(time.Unix(0, 0))
+	if p.CachePeak != 4096 || p.CacheGroups != 2 || p.HeapLive != s.HeapLiveBytes {
+		t.Fatalf("heartbeat record: %+v", p)
 	}
 }

@@ -68,6 +68,9 @@ func writePrometheus(w io.Writer, s Snapshot) error {
 	counter("cosched_model_cache_evictions_total", "Compiled-model cache entries evicted this campaign.", float64(s.ModelCache.Evictions))
 	gauge("cosched_model_cache_resident_bytes", "Bytes of compiled tables resident in the process cache.", float64(s.ModelCache.ResidentBytes))
 	gauge("cosched_model_cache_entries", "Compiled tables resident in the process cache.", float64(s.ModelCache.Entries))
+	gauge("cosched_model_cache_peak_resident_bytes", "High-water mark of compiled-table bytes resident in the process cache.", float64(s.ModelCache.PeakResidentBytes))
+	gauge("cosched_model_cache_open_groups", "Open replicate groups pinning compiled tables in the process cache.", float64(s.ModelCache.OpenGroups))
+	gauge("cosched_go_heap_live_bytes", "Go heap bytes live after the last GC, sampled at scrape time.", float64(s.HeapLiveBytes))
 
 	counter("cosched_dist_workers_spawned_total", "Distributed worker processes started, including respawns.", float64(s.Dist.WorkersSpawned))
 	counter("cosched_dist_workers_lost_total", "Distributed worker deaths detected (exit, kill, pipe loss).", float64(s.Dist.WorkersLost))
@@ -136,6 +139,11 @@ type Progress struct {
 	CacheMisses    uint64 `json:"cache_misses,omitempty"`
 	CacheEvictions uint64 `json:"cache_evictions,omitempty"`
 	CacheBytes     int64  `json:"cache_bytes,omitempty"`
+	CachePeak      int64  `json:"cache_peak_bytes,omitempty"`
+	CacheGroups    int64  `json:"cache_open_groups,omitempty"`
+	// HeapLive is the Go live heap as of the last GC, sampled at
+	// heartbeat time (omitted before the first GC).
+	HeapLive uint64 `json:"heap_live_bytes,omitempty"`
 }
 
 // Progress distills a snapshot into its heartbeat record.
@@ -157,6 +165,9 @@ func (s Snapshot) Progress(now time.Time) Progress {
 		CacheMisses:    s.ModelCache.Misses,
 		CacheEvictions: s.ModelCache.Evictions,
 		CacheBytes:     s.ModelCache.ResidentBytes,
+		CachePeak:      s.ModelCache.PeakResidentBytes,
+		CacheGroups:    s.ModelCache.OpenGroups,
+		HeapLive:       s.HeapLiveBytes,
 	}
 	if s.UnitsPlanned > 0 {
 		p.Pct = 100 * float64(s.UnitsDone) / float64(s.UnitsPlanned)
