@@ -367,8 +367,8 @@ func heterogeneousSweepSpec() scenario.Spec {
 // BenchmarkCampaignThroughputHeterogeneous measures a caller-kept
 // compiled-model cache re-running one identical heterogeneous
 // resilience sweep: the benchmark owns a model.NewCache, whose budget
-// keeps idle tables across Runs (the process-default cache keeps
-// none). Every unit's tables come back as hits of the exact (pack,
+// keeps idle tables across Runs (the process-default cache keeps only
+// 4 MiB of them, less than this sweep's tables). Every unit's tables come back as hits of the exact (pack,
 // resilience, cost model, P) key, and the engine's (pointer, Gen)-keyed
 // schedule memo then replays Algorithm 1 instead of re-deriving it, so
 // a unit pays only its event loop. The cache is warmed by one untimed

@@ -1,10 +1,11 @@
-// Compiled-model sharing across campaign units: pack classes, pack
-// interning, and the process-global content-addressed cache of compiled
-// instance models (model.Cache). This generalizes the earlier per-point
+// Compiled-model sharing across campaign units: pack classes, the
+// replicate groups that memoize packs and pin tables, and the
+// process-global content-addressed cache of compiled instance models
+// (model.Cache). This generalizes the earlier per-point
 // sharedPointModels: instead of sharing only within one homogeneous grid
-// point, packs are canonicalized by content and compiled tables are
-// shared across every point, replicate and campaign that provably needs
-// the same tables — with bit-identical results by construction (see
+// point, packs are drawn per pack class and compiled tables are shared
+// across every point, replicate and campaign that provably needs the
+// same tables — with bit-identical results by construction (see
 // DESIGN.md §15).
 package campaign
 
@@ -19,16 +20,26 @@ import (
 	"cosched/internal/workload"
 )
 
-// defaultModelCache is the process-global compiled-model cache. Its
-// idle budget is zero: a table stays resident only while a unit holds
-// it or an open replicate group pins it (see unitModels). Every
-// replicate draws a fresh pack, so once its group closes no later unit
-// can reuse the table, and the daemon deduplicates identical specs per
-// client, so it does not re-run a campaign either. Concurrent Runs on
-// the daemon's shared pool still share the tables they hold at the same
-// time. A caller that re-runs identical work and wants its tables kept
-// across Runs passes its own model.NewCache as Options.ModelCache.
-var defaultModelCache = model.NewTransientCache()
+// defaultModelCache is the process-global compiled-model cache. A
+// table stays resident while a unit holds it or an open replicate group
+// pins it (see unitModels); beyond that the cache keeps only
+// defaultIdleBytes of idle tables, oldest first out. Every replicate
+// draws a fresh pack, so a table outlives its group usefully only when
+// a later Run repeats the same packs — an identical re-run, or two
+// figures sweeping one axis under one master seed. Such repeats of
+// example-scale campaigns fit in the idle budget; paper-scale tables
+// (megabytes each) would need hundreds of MiB kept across Runs, so
+// they go when their group closes. Concurrent Runs on the daemon's
+// shared pool share the tables they hold at the same time. A caller
+// that re-runs larger identical work passes its own model.NewCache as
+// Options.ModelCache.
+var defaultModelCache = model.NewCache(defaultIdleBytes)
+
+// defaultIdleBytes is the default cache's idle budget: enough to keep
+// the tables of a small re-run campaign (the example-scale grids of the
+// throughput benchmarks compile 0.4 and 2.5 MB) without letting
+// single-use tables pile up.
+const defaultIdleBytes = 4 << 20
 
 // ModelCacheStats returns the process-global cache's counters — the
 // hook cmd/campaign's summary line and tests use. Callers wanting
@@ -118,62 +129,60 @@ func packClasses(points []scenario.RunPoint) []int {
 }
 
 // unitModels is the campaign-scoped model-sharing state handed to every
-// worker: the pack-class table, the open replicate groups, an intern
-// table canonicalizing content-equal packs to one slice, and the
-// compiled-model cache (nil when disabled). Interning is what makes the
-// cache's pointer fast path fire: every unit over the same pack content
-// holds the same []model.Task header, so a cache probe compares one
-// pointer instead of the pack.
+// worker: the pack-class table, the memoized packs, the open replicate
+// groups, and the compiled-model cache (nil when disabled). Every unit
+// of one (pack class, replicate) gets the same memoized []model.Task
+// header, so its cache probes take the pointer fast path instead of
+// comparing the pack.
 //
 // A replicate group is one (share class, replicate) pair. A share class
-// is the points of one pack class at one platform size: exactly the
+// is the points of one pack class at one platform size — exactly the
 // points that can reuse each other's tables, since P is part of every
-// table's key. At one replicate they draw the same pack, so the group
-// owns its memoized pack and one cache pin on every table acquired for
-// it; closing the group — once no point of the class can still run that
-// replicate — drops both, so table residency follows the groups the
-// runner keeps open. Without groups (the dist UnitRunner, which only
-// sees leased unit ranges) packs are memoized for the runner's lifetime
-// and nothing is pinned.
+// table's key. The group holds one use of its replicate's memoized pack
+// and one cache pin on every table acquired for it; closing the group —
+// once no point of the share class can still run that replicate —
+// drops both, and the pack is forgotten once no open group uses it, so
+// table residency follows the groups the runner keeps open. Splitting a
+// pack class by P keeps a lagging point from holding open the groups of
+// the other platform sizes. Without groups (the dist UnitRunner, which
+// only sees leased unit ranges) packs are memoized for the runner's
+// lifetime and nothing is pinned.
 type unitModels struct {
 	cache   *model.Cache
-	classes []int // pack class per point: the task stream it draws from
-	shares  []int // share class per point: its lowest point index
-	// members lists each share class's points and classShares each pack
-	// class's share classes, in index order (other indices hold nil).
-	members     [][]int
-	classShares [][]int
-	grouped     bool
+	classes []int   // pack class per point: the task stream it draws from
+	shares  []int   // share class per point: its lowest point index
+	members [][]int // each share class's points, in index order (other indices hold nil)
+	grouped bool
 
-	mu       sync.Mutex
-	groups   map[packKey]*repGroup
-	interned map[uint64]*internedPack // chained through next
+	mu     sync.Mutex
+	groups map[groupKey]*repGroup
+	packs  map[packKey]*classPack
 	// closedBelow[s] is the replicate below which every group of share
 	// class s has closed for good: a late unit there runs unpinned
 	// (adaptive speculation past a stopped point).
 	closedBelow []int
 }
 
-// packKey names a replicate group: (share class, replicate).
-type packKey struct{ share, rep int }
+// groupKey names a replicate group: (share class, replicate).
+type groupKey struct{ share, rep int }
+
+// packKey names a memoized pack: (pack class, replicate).
+type packKey struct{ class, rep int }
 
 // repGroup is one open replicate group.
 type repGroup struct {
-	tasks  []model.Task // the memoized canonical pack, nil until drawn
-	intern *internedPack
-	pins   *model.CacheGroup
+	pack *classPack
+	pins *model.CacheGroup
 	// pending counts the group's dispatched units still to finish
 	// (fixed runs, which close a group when it reaches zero).
 	pending int
 }
 
-// internedPack is one canonical pack and the number of open groups
-// using it.
-type internedPack struct {
+// classPack is one memoized pack (nil until drawn) and the number of
+// open groups using it.
+type classPack struct {
 	tasks []model.Task
-	fp    uint64
 	users int
-	next  *internedPack
 }
 
 // newUnitModels builds the campaign's sharing state; grouped selects
@@ -182,7 +191,6 @@ func newUnitModels(points []scenario.RunPoint, cache *model.Cache, grouped bool)
 	classes := packClasses(points)
 	shares := make([]int, len(points))
 	members := make([][]int, len(points))
-	classShares := make([][]int, len(points))
 	type shareKey struct{ class, p int }
 	first := make(map[shareKey]int, len(points))
 	for pi, c := range classes {
@@ -191,7 +199,6 @@ func newUnitModels(points []scenario.RunPoint, cache *model.Cache, grouped bool)
 		if !ok {
 			s = pi
 			first[k] = pi
-			classShares[c] = append(classShares[c], pi)
 		}
 		shares[pi] = s
 		members[s] = append(members[s], pi)
@@ -201,10 +208,9 @@ func newUnitModels(points []scenario.RunPoint, cache *model.Cache, grouped bool)
 		classes:     classes,
 		shares:      shares,
 		members:     members,
-		classShares: classShares,
 		grouped:     grouped,
-		groups:      make(map[packKey]*repGroup),
-		interned:    make(map[uint64]*internedPack),
+		groups:      make(map[groupKey]*repGroup),
+		packs:       make(map[packKey]*classPack),
 		closedBelow: make([]int, len(points)),
 	}
 }
@@ -212,72 +218,79 @@ func newUnitModels(points []scenario.RunPoint, cache *model.Cache, grouped bool)
 // packFor returns the canonical task pack of (point pi, replicate rep)
 // and the cache group that pins the tables compiled over it (nil when
 // tables must not be pinned). The pack is drawn on first use from the
-// point's class stream, or taken from an open group of another share
-// class of the same pack class. genSpec is the caller's
-// already-validated generation spec (the point's workload with the fault
-// fields zeroed for fault-free-only scenarios); points of one class
-// agree on every field Generate reads, so whichever point generates
-// first, the bytes are the same. ws provides the reseedable RNG arena.
+// point's pack-class stream and memoized per (pack class, replicate),
+// so the share classes of one pack class draw it once. genSpec is the
+// caller's already-validated generation spec (the point's workload with
+// the fault fields zeroed for fault-free-only scenarios); points of one
+// class agree on every field Generate reads, so whichever point
+// generates first, the bytes are the same. ws provides the reseedable
+// RNG arena.
 func (um *unitModels) packFor(ws *workerState, seed uint64, genSpec workload.Spec, pi, rep int) ([]model.Task, *model.CacheGroup, error) {
-	class, share := um.classes[pi], um.shares[pi]
-	key := packKey{share: share, rep: rep}
-	um.mu.Lock()
-	if g := um.groups[key]; g != nil && g.tasks != nil {
-		um.mu.Unlock()
-		return g.tasks, g.pins, nil
-	}
-	var tasks []model.Task
-	for _, s := range um.classShares[class] {
-		if g := um.groups[packKey{share: s, rep: rep}]; g != nil && g.tasks != nil {
-			tasks = g.tasks
-			break
-		}
-	}
-	um.mu.Unlock()
-
-	if tasks == nil {
-		// Generate outside the lock (two workers may race; the memo
-		// re-check below keeps exactly one canonical pack).
-		ws.taskRNG.Reseed(rng.SubSeed(seed, streamTasks, uint64(class), uint64(rep)))
-		var err error
-		if tasks, err = genSpec.Generate(ws.taskRNG); err != nil {
-			return nil, nil, err
-		}
-	}
-
+	gk := groupKey{share: um.shares[pi], rep: rep}
+	pk := packKey{class: um.classes[pi], rep: rep}
 	um.mu.Lock()
 	defer um.mu.Unlock()
-	if um.grouped && rep < um.closedBelow[share] {
-		// The group already closed: a late speculative unit runs on its
-		// private pack and compiles unpinned.
-		return tasks, nil, nil
-	}
-	g := um.groups[key]
-	if g == nil {
-		g = &repGroup{}
-		um.groups[key] = g
-	}
-	if g.tasks == nil {
-		g.tasks, g.intern = um.internLocked(tasks)
-		if um.grouped {
-			g.pins = um.cache.OpenGroup()
+	var cp *classPack
+	var pins *model.CacheGroup
+	switch g := um.groups[gk]; {
+	case g != nil:
+		cp, pins = g.pack, g.pins
+	case um.grouped && rep >= um.closedBelow[gk.share]:
+		g = um.openLocked(gk, pk)
+		cp, pins = g.pack, g.pins
+	default:
+		// The runner-lifetime memo, or a late speculative unit of a
+		// closed group, which compiles unpinned.
+		if cp = um.packs[pk]; cp == nil {
+			cp = &classPack{}
+			if !um.grouped {
+				um.packs[pk] = cp
+			}
 		}
 	}
-	return g.tasks, g.pins, nil
+	if cp.tasks == nil {
+		// Generate outside the lock (two workers may race; the first to
+		// publish wins, so every unit gets the one canonical pack).
+		um.mu.Unlock()
+		ws.taskRNG.Reseed(rng.SubSeed(seed, streamTasks, uint64(pk.class), uint64(rep)))
+		tasks, err := genSpec.Generate(ws.taskRNG)
+		um.mu.Lock()
+		if err != nil {
+			return nil, nil, err
+		}
+		if cp.tasks == nil {
+			cp.tasks = tasks
+		}
+	}
+	return cp.tasks, pins, nil
+}
+
+// openLocked opens the replicate group gk, taking one use of the
+// memoized pack pk (an undrawn memo entry when it is new).
+func (um *unitModels) openLocked(gk groupKey, pk packKey) *repGroup {
+	cp := um.packs[pk]
+	if cp == nil {
+		cp = &classPack{}
+		um.packs[pk] = cp
+	}
+	cp.users++
+	g := &repGroup{pack: cp, pins: um.cache.OpenGroup()}
+	um.groups[gk] = g
+	return g
 }
 
 // expect opens the replicate group (share, rep) for n units about to be
 // dispatched; fixed runs call it before the group's first unit goes out.
 func (um *unitModels) expect(share, rep, n int) {
 	um.mu.Lock()
-	um.groups[packKey{share: share, rep: rep}] = &repGroup{pending: n}
+	um.openLocked(groupKey{share: share, rep: rep}, packKey{class: um.classes[share], rep: rep}).pending = n
 	um.mu.Unlock()
 }
 
 // finish records that one dispatched unit of (point pi, replicate rep)
 // is done — run or failed — and closes its group after the last one.
 func (um *unitModels) finish(pi, rep int) {
-	key := packKey{share: um.shares[pi], rep: rep}
+	key := groupKey{share: um.shares[pi], rep: rep}
 	um.mu.Lock()
 	defer um.mu.Unlock()
 	if g := um.groups[key]; g != nil {
@@ -288,8 +301,8 @@ func (um *unitModels) finish(pi, rep int) {
 }
 
 // closeBelow closes every group of share class below replicate f for
-// good — adaptive runs call it once no live point of the class can run
-// them.
+// good — adaptive runs call it once no live point of the share class
+// can run them.
 func (um *unitModels) closeBelow(share, f int) {
 	um.mu.Lock()
 	defer um.mu.Unlock()
@@ -314,68 +327,30 @@ func (um *unitModels) closeAll() {
 	}
 }
 
-// closeLocked drops a group: its cache pins, its memo entry, and its
-// use of the interned pack, which is forgotten once no open group uses
-// it.
-func (um *unitModels) closeLocked(key packKey, g *repGroup) {
+// closeLocked drops a group: its cache pins and its use of the
+// memoized pack, which is forgotten once no open group uses it.
+func (um *unitModels) closeLocked(key groupKey, g *repGroup) {
 	delete(um.groups, key)
 	g.pins.Close()
-	ip := g.intern
-	if ip == nil {
-		return
+	if g.pack.users--; g.pack.users == 0 {
+		delete(um.packs, packKey{class: um.classes[key.share], rep: key.rep})
 	}
-	if ip.users--; ip.users > 0 {
-		return
-	}
-	if head := um.interned[ip.fp]; head == ip {
-		if ip.next != nil {
-			um.interned[ip.fp] = ip.next
-		} else {
-			delete(um.interned, ip.fp)
-		}
-	} else {
-		for p := head; p != nil; p = p.next {
-			if p.next == ip {
-				p.next = ip.next
-				break
-			}
-		}
-	}
-}
-
-// internLocked canonicalizes a pack by content: content-equal packs
-// (homogeneous replicates, coinciding draws, one replicate's pack across
-// share classes) collapse to the first slice seen while some open group
-// uses it. Packs with incomparable profiles pass through unchanged (and
-// untracked).
-func (um *unitModels) internLocked(tasks []model.Task) ([]model.Task, *internedPack) {
-	fp, ok := model.PackFingerprint(tasks)
-	if !ok {
-		return tasks, nil
-	}
-	for ip := um.interned[fp]; ip != nil; ip = ip.next {
-		if &ip.tasks[0] == &tasks[0] && len(ip.tasks) == len(tasks) {
-			ip.users++
-			return ip.tasks, ip
-		}
-		if eq, ok := model.PacksEqual(ip.tasks, tasks); ok && eq {
-			ip.users++
-			return ip.tasks, ip
-		}
-	}
-	ip := &internedPack{tasks: tasks, fp: fp, users: 1, next: um.interned[fp]}
-	um.interned[fp] = ip
-	return tasks, ip
 }
 
 // dispatch hands every unrestored unit of a fixed campaign (reps
 // replicates per point) to send, group-major: pack class by pack class,
-// replicate-major within one, so the share classes' groups of one
-// replicate go out together — drawing their pack once — and close soon
-// after. Each group is opened with its unit count before its first unit
-// is sent. dispatch stops early when send returns false.
+// replicate-major within one, so only a few groups are open at once.
+// The share classes' groups of one replicate are opened together, with
+// their unit counts, before their first unit is sent, so they draw the
+// replicate's pack once. dispatch stops early when send returns false.
 func (um *unitModels) dispatch(reps int, restored []bool, send func(unit int) bool) {
-	for _, shares := range um.classShares {
+	classShares := make([][]int, len(um.members))
+	for s, points := range um.members {
+		if points != nil {
+			classShares[um.classes[s]] = append(classShares[um.classes[s]], s)
+		}
+	}
+	for _, shares := range classShares {
 		for rep := 0; rep < reps; rep++ {
 			for _, s := range shares {
 				n := 0

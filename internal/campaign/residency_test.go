@@ -66,6 +66,18 @@ func groupBytes(t *testing.T, sp scenario.Spec) int64 {
 	return cache.Stats().ResidentBytes
 }
 
+// withEvictingDefault swaps the process-default cache for one that
+// keeps no idle table (a one-byte budget is smaller than any table), so
+// its level fields count exactly the tables some unit holds or some
+// open replicate group pins. The real default is restored when the test
+// ends.
+func withEvictingDefault(t *testing.T) {
+	t.Helper()
+	saved := defaultModelCache
+	defaultModelCache = model.NewCache(1)
+	t.Cleanup(func() { defaultModelCache = saved })
+}
+
 // checkDrained fails unless the default cache holds nothing: every
 // table released, every replicate group closed.
 func checkDrained(t *testing.T) {
@@ -76,11 +88,14 @@ func checkDrained(t *testing.T) {
 }
 
 // TestDefaultCacheResidencyBound pins the residency rule of the
-// process-default cache: a table lives only while a unit holds it or
-// an open replicate group pins it, so the peak stays within a small
-// multiple of one replicate's tables however many replicates run, and
-// nothing stays resident once Run returns.
+// default path: a table lives only while a unit holds it or an open
+// replicate group pins it, so the held-or-pinned peak stays within a
+// small multiple of one replicate's tables however many replicates run,
+// and nothing is held or pinned once Run returns. The default cache's
+// idle budget is set aside (withEvictingDefault) so the peak measures
+// the pinned window alone.
 func TestDefaultCacheResidencyBound(t *testing.T) {
+	withEvictingDefault(t)
 	adaptive := exampleGridSpec()
 	adaptive.Replicates = 0
 	adaptive.Precision = &scenario.PrecisionSpec{RelHalfWidth: 0.02, Confidence: 0.95, Batch: 8, MaxReplicates: 2000}
@@ -88,7 +103,8 @@ func TestDefaultCacheResidencyBound(t *testing.T) {
 	// with Parallel keeps a lookahead window of 8 replicates per point
 	// in flight (two workers, rounded up to the batch), plus whatever
 	// spread between the points of a share class keeps groups open
-	// (measured: ~4.5); the fixed n-sweep has one point per class, so
+	// (measured: ~4.1; ~12.6 when groups span every platform size of a
+	// pack class); the fixed n-sweep has one point per class, so
 	// each group closes with its unit and only the two workers' groups
 	// are open (~1.1). Recycled arenas are charged at their capacity,
 	// which can exceed the table they hold — hence the slack.
@@ -133,8 +149,11 @@ func TestDefaultCacheResidencyBound(t *testing.T) {
 // TestDefaultCacheDrainsOnEveryReturn checks that Run closes every
 // replicate group and releases every table on its failure paths too:
 // a canceled campaign and one whose unit fails, fixed and adaptive, on
-// private workers and on a shared Pool.
+// private workers and on a shared Pool. The default cache's idle budget
+// is set aside (withEvictingDefault), so any table left resident is a
+// leaked hold or pin.
 func TestDefaultCacheDrainsOnEveryReturn(t *testing.T) {
+	withEvictingDefault(t)
 	errUnit := errors.New("injected unit failure")
 	for _, adaptive := range []bool{false, true} {
 		for _, pooled := range []bool{false, true} {
@@ -182,5 +201,27 @@ func TestDefaultCacheDrainsOnEveryReturn(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestDefaultCacheIdleBudget checks the real process-default cache:
+// once Run returns nothing is pinned, and what stays resident is idle
+// tables within defaultIdleBytes — which keep an identical re-run warm.
+func TestDefaultCacheIdleBudget(t *testing.T) {
+	sp := exampleGridSpec()
+	sp.Seed = 7
+	if _, err := Run(sp, Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	s := ModelCacheStats()
+	if s.OpenGroups != 0 || s.ResidentBytes > defaultIdleBytes {
+		t.Fatalf("default cache after Run: %+v, want no open group and ≤ %d idle bytes", s, defaultIdleBytes)
+	}
+	before := ModelCacheStats()
+	if _, err := Run(sp, Options{Workers: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if d := ModelCacheStats().Delta(before); d.Misses != 0 {
+		t.Fatalf("identical re-run of a small campaign missed: %+v", d)
 	}
 }

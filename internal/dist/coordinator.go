@@ -125,9 +125,6 @@ type workerConn struct {
 	// worker; reset by ready, it bounds the respawn loop for seats that
 	// cannot start (bad binary, exec failure).
 	fails int
-	// killed marks a worker the KillAtUnit chaos hook has killed; its
-	// death event is still to come.
-	killed bool
 }
 
 type coordinator struct {
@@ -319,7 +316,7 @@ func (c *coordinator) spawn(slot int) {
 	}
 	w.proc = proc
 	w.out = newMsgWriter(proc.In)
-	w.alive, w.ready, w.lease, w.killed = true, false, -1, false
+	w.alive, w.ready, w.lease = true, false, -1
 	c.liveCount++
 	if m := c.opt.Metrics; m != nil {
 		m.Dist.WorkersSpawned.Inc()
@@ -376,13 +373,8 @@ func (c *coordinator) handleEvent(ev event) {
 		c.handleDeath(w)
 		return
 	}
-	if !w.alive || w.killed {
-		// A message raced past a death already handled, or trails a
-		// chaos kill: a worker killed mid-send writes nothing after the
-		// result it died on, so what is still buffered in its pipe
-		// (results, a release) is dropped and the death expires the
-		// lease.
-		return
+	if !w.alive {
+		return // message raced past a death already handled
 	}
 	switch ev.msg.Type {
 	case "ready":
@@ -435,7 +427,6 @@ func (c *coordinator) handleResult(w *workerConn, m workMsg) {
 		c.chaosFired = true
 		c.opt.Logf("dist: chaos: killing worker %d at unit %d", w.slot, m.Unit)
 		w.proc.Kill()
-		w.killed = true
 		return
 	}
 	if w.lease < 0 || m.Lease != w.lease {

@@ -69,13 +69,12 @@ type Cache struct {
 
 type cacheShard struct {
 	mu sync.Mutex
-	// full chains entries by the full key (pack, rc, p, res) through
-	// nextFull; base chains the same entries by the base key (pack, rc,
-	// p) through nextBase, for delta-base lookups. Chains are short —
-	// collisions are rare, a base key has one entry per resilience
-	// variant — and every candidate is verified by content anyway.
-	full map[uint64]*CacheEntry
-	base map[uint64]*CacheEntry
+	// full buckets entries by the full key (pack, rc, p, res); base
+	// buckets the same entries by the base key (pack, rc, p) for
+	// delta-base lookups. Buckets are small slices: collisions are rare
+	// and every candidate is verified by content anyway.
+	full map[uint64][]*CacheEntry
+	base map[uint64][]*CacheEntry
 	// building lists the entries whose compile is in flight; they join
 	// full and base when it finishes.
 	building []*CacheEntry
@@ -99,8 +98,6 @@ type CacheEntry struct {
 	p     int
 	// built is released when the entry's compile finishes (or fails).
 	built sync.WaitGroup
-	// Hash-chain links, guarded by shard.mu.
-	nextFull, nextBase *CacheEntry
 	// holds (outstanding Acquires) and pins (open groups pinning the
 	// entry) are guarded by shard.mu. Only an entry with neither is on
 	// the idle list, so eviction can never recycle a table under a
@@ -147,25 +144,17 @@ func (s CacheStats) Delta(prev CacheStats) CacheStats {
 
 // NewCache returns a cache that keeps up to maxBytes of idle table
 // bytes resident (DefaultCacheBytes when maxBytes ≤ 0), on top of the
-// entries currently held or pinned.
+// entries currently held or pinned. A budget smaller than any table
+// keeps nothing idle: every entry is evicted on its last Release or
+// Close.
 func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
-	return newCache(maxBytes)
-}
-
-// NewTransientCache returns a cache with a zero idle budget: an entry
-// stays resident only while some Acquire holds it or some open group
-// pins it, and is evicted on its last Release or Close. Sharing then
-// happens only among units that overlap in time or belong to one group.
-func NewTransientCache() *Cache { return newCache(0) }
-
-func newCache(budget int64) *Cache {
-	ch := &Cache{budget: budget}
+	ch := &Cache{budget: maxBytes}
 	for i := range ch.shards {
-		ch.shards[i].full = make(map[uint64]*CacheEntry)
-		ch.shards[i].base = make(map[uint64]*CacheEntry)
+		ch.shards[i].full = make(map[uint64][]*CacheEntry)
+		ch.shards[i].base = make(map[uint64][]*CacheEntry)
 	}
 	return ch
 }
@@ -474,10 +463,11 @@ func (ch *Cache) evict() {
 
 // lookupLocked finds a published entry with exactly this content.
 // Candidates from the hash bucket are verified field-by-field — the
-// pack compare takes the pointer fast path when the caller interned its
-// packs (same slice), and falls back to a full content compare.
+// pack compare takes the pointer fast path when the caller passes the
+// entry's own pack (same slice), and falls back to a full content
+// compare.
 func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc CostModel, p int) *CacheEntry {
-	for e := sh.full[fk]; e != nil; e = e.nextFull {
+	for _, e := range sh.full[fk] {
 		if e.res == res && e.sameBase(tasks, rc, p) {
 			return e
 		}
@@ -488,7 +478,7 @@ func (sh *cacheShard) lookupLocked(fk uint64, tasks []Task, res Resilience, rc C
 // baseLocked finds a published entry over the same pack, cost model and
 // platform — a delta base.
 func (sh *cacheShard) baseLocked(bk uint64, tasks []Task, rc CostModel, p int) *CacheEntry {
-	for e := sh.base[bk]; e != nil; e = e.nextBase {
+	for _, e := range sh.base[bk] {
 		if e.sameBase(tasks, rc, p) {
 			return e
 		}
@@ -531,52 +521,21 @@ func samePack(a, b []Task) bool {
 	return ok && eq
 }
 
-// link publishes e at the tail of its full- and base-key chains, so
+// link publishes e at the tail of its full- and base-key buckets, so
 // lookups meet older entries first.
 func (sh *cacheShard) link(e *CacheEntry) {
-	chainAppend(sh.full, e.fullKey, e, fullLink)
-	chainAppend(sh.base, e.baseKey, e, baseLink)
+	sh.full[e.fullKey] = append(sh.full[e.fullKey], e)
+	sh.base[e.baseKey] = append(sh.base[e.baseKey], e)
 }
 
-// unlink removes e from both chains, dropping emptied map keys.
+// unlink removes e from both buckets, dropping emptied map keys.
 func (sh *cacheShard) unlink(e *CacheEntry) {
-	chainRemove(sh.full, e.fullKey, e, fullLink)
-	chainRemove(sh.base, e.baseKey, e, baseLink)
-}
-
-func fullLink(e *CacheEntry) **CacheEntry { return &e.nextFull }
-func baseLink(e *CacheEntry) **CacheEntry { return &e.nextBase }
-
-// chainAppend appends e to the chain m[k], linked through next.
-func chainAppend(m map[uint64]*CacheEntry, k uint64, e *CacheEntry, next func(*CacheEntry) **CacheEntry) {
-	p := m[k]
-	if p == nil {
-		m[k] = e
-		return
+	if sh.full[e.fullKey] = removeEntry(sh.full[e.fullKey], e); len(sh.full[e.fullKey]) == 0 {
+		delete(sh.full, e.fullKey)
 	}
-	for *next(p) != nil {
-		p = *next(p)
+	if sh.base[e.baseKey] = removeEntry(sh.base[e.baseKey], e); len(sh.base[e.baseKey]) == 0 {
+		delete(sh.base, e.baseKey)
 	}
-	*next(p) = e
-}
-
-// chainRemove removes e from the chain m[k], linked through next.
-func chainRemove(m map[uint64]*CacheEntry, k uint64, e *CacheEntry, next func(*CacheEntry) **CacheEntry) {
-	if m[k] == e {
-		if n := *next(e); n != nil {
-			m[k] = n
-		} else {
-			delete(m, k)
-		}
-	} else {
-		for p := m[k]; p != nil; p = *next(p) {
-			if *next(p) == e {
-				*next(p) = *next(e)
-				break
-			}
-		}
-	}
-	*next(e) = nil
 }
 
 func removeEntry(s []*CacheEntry, e *CacheEntry) []*CacheEntry {
@@ -652,13 +611,6 @@ func packBaseKey(tasks []Task, rc CostModel, p int) (key uint64, ok bool) {
 	h = mix64(h, math.Float64bits(rc.InvBandwidth))
 	h = mix64(h, uint64(int64(p)))
 	return h, true
-}
-
-// PackFingerprint returns a content hash of a task pack alone — the
-// intern key campaign-level pack canonicalization uses. ok is false for
-// packs with profile types the model package cannot compare.
-func PackFingerprint(tasks []Task) (uint64, bool) {
-	return packBaseKey(tasks, CostModel{}, 0)
 }
 
 // resFullKey extends a base key with the resilience parameters.

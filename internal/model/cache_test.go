@@ -300,8 +300,8 @@ func idleBytesByCap(ch *Cache) int64 {
 	for i := range ch.shards {
 		sh := &ch.shards[i]
 		sh.mu.Lock()
-		for _, head := range sh.full {
-			for e := head; e != nil; e = e.nextFull {
+		for _, bucket := range sh.full {
+			for _, e := range bucket {
 				if e.holds == 0 && e.pins == 0 {
 					idle += compiledBytes(e.c)
 				}
