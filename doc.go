@@ -18,16 +18,14 @@
 //     (Eq. 1–10)
 //   - internal/failure     — fault simulator (exponential/Weibull
 //     renewal processes, trace record/replay)
-//   - internal/checkpoint  — double-checkpointing substrate
 //   - internal/platform    — processor-pair allocator
-//   - internal/redistrib   — bipartite transfer-round scheduler (König)
 //   - internal/npc         — Theorem 2 reduction from 3-Partition
 //   - internal/scenario    — declarative, JSON-encodable experiment
 //     specs: workload, failure law, policy list, parameter grids,
 //     optional arrivals block (online regime)
 //   - internal/campaign    — sharded Monte-Carlo campaign runner over
-//     scenario specs (worker pool, per-unit RNG streams, JSONL/CSV
-//     sinks, resumable manifests)
+//     scenario specs (fair-scheduled worker Pool, per-unit RNG
+//     streams, JSONL/CSV sinks, resumable manifests)
 //   - internal/experiments — reproduction of Figures 5–14, expressed as
 //     scenario specs executed by the campaign runner
 //   - cmd/...              — coschedsim, campaign, experiments,

@@ -3,13 +3,12 @@ package campaign
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"cosched/internal/core"
 	"cosched/internal/model"
 	"cosched/internal/scenario"
 	"cosched/internal/stats"
+	"cosched/internal/workload"
 )
 
 // CellQuantiles are the quantiles an adaptive campaign tracks per cell
@@ -58,36 +57,10 @@ type pointState struct {
 	stopped     bool
 }
 
-// unitJob is one dispatched replicate. buf, when non-nil, is a recycled
-// metric-vector buffer from the coordinator's free list; the worker
-// copies the unit's results into it, and the coordinator reclaims it
-// after folding. Steady-state adaptive batches therefore stop
-// allocating per replicate.
-type unitJob struct {
-	point, rep int
-	buf        []float64
-}
-
-// journaledUnit is a completed replicate waiting for the journal's
-// durable watermark to reach its record's sequence number.
-type journaledUnit struct {
-	seq        uint64
-	point, rep int
-	vals       []float64
-}
-
-type unitResult struct {
-	point, rep int
-	vals       []float64 // metricsPerPolicy values per policy
-	err        error
-	// skip marks a unit that was dispatched but never ran because the
-	// campaign was canceled first: it only drains inflight accounting
-	// (vals, when non-nil, is the job's recycled buffer coming home).
-	skip bool
-}
-
-// adaptiveController sequences an adaptive campaign. All state is owned
-// by the coordinating goroutine; workers only see jobs and results.
+// adaptiveController sequences an adaptive campaign. Its state is
+// guarded by the embedded driver's mu: pool jobs fold their own results
+// and queue follow-up batches under it, and the calling goroutine takes
+// it to acknowledge journaled replicates and mirror telemetry.
 //
 // Determinism contract: replicates fold strictly in replicate order per
 // point (out-of-order completions buffer in pending), and the stopping
@@ -96,15 +69,17 @@ type unitResult struct {
 // itself a pure function of (spec, seed). Worker count and arrival order
 // cannot change the outcome, only the wall-clock.
 type adaptiveController struct {
-	sp      scenario.Spec
-	opt     Options
-	res     *Result
-	batch   int
-	minReps int
-	maxReps int
-	conf    float64
-	relHW   float64
-	nm      int // metrics per policy (metricsPerPolicy)
+	*driver
+	sp        scenario.Spec
+	res       *Result
+	semantics core.Semantics
+	trace     []workload.TraceArrival
+	batch     int
+	minReps   int
+	maxReps   int
+	conf      float64
+	relHW     float64
+	nm        int // metrics per policy (metricsPerPolicy)
 	// lookahead, when positive, is the per-point speculation window of
 	// Options.Parallel: advance keeps up to this many replicates queued
 	// or in flight past the folded prefix instead of one batch at a
@@ -113,23 +88,13 @@ type adaptiveController struct {
 	// only how fully a single point can occupy the worker pool.
 	lookahead int
 	points    []pointState
-	queue     []unitJob
-	inflight  int // queued + dispatched, not yet handled
 	done      int // folded replicates, including restored ones
 	estTotal  int // points×max, shrunk as points stop early
-	firstErr  error
-	// submit, when set (shared-pool mode), dispatches a job immediately
-	// instead of parking it on queue for the private-worker coordinator.
-	submit func(unitJob)
 	// free recycles per-replicate metric-vector buffers: folded vectors
-	// return here, queued jobs carry one back out to a worker. Owned by
-	// the coordinating goroutine; hand-off happens through the job and
-	// result structs, never by sharing.
+	// return here, and each queued job carries one back out to a worker.
+	// Steady-state adaptive batches therefore stop allocating per
+	// replicate.
 	free [][]float64
-	// unacked holds, in journal order, completed units whose records a
-	// synced manifest has not yet made durable. They fold (and count as
-	// done) only once the durable watermark covers them.
-	unacked []journaledUnit
 	// um is the campaign's model-sharing state: advance closes the
 	// replicate groups no live point can still run. cacheStart lets
 	// syncMetrics mirror the compiled-model cache's per-run counter
@@ -156,97 +121,55 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 		}
 		res.cells[pi] = cs
 	}
-
-	c := &adaptiveController{
-		sp:      sp,
-		opt:     opt,
-		res:     res,
-		batch:   prec.BatchSize(),
-		minReps: prec.MinReps(),
-		maxReps: prec.MaxReplicates,
-		conf:    prec.ConfidenceLevel(),
-		relHW:   prec.RelHalfWidth,
-		nm:      nm,
-		points:  make([]pointState, len(points)),
-	}
-	c.estTotal = len(points) * c.maxReps
-	for pi := range c.points {
-		c.points[pi].pending = make(map[int][]float64)
-	}
-
-	workers := opt.Workers
-	if opt.Pool != nil {
-		workers = opt.Pool.Workers()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if opt.Parallel {
-		// Per-point mode: double-buffer the pool (a full complement of
-		// replicates in flight plus the refill queued behind them),
-		// rounded up to whole batches so speculation windows line up
-		// with stopping-rule boundaries.
-		la := 2 * workers
-		if r := la % c.batch; r != 0 {
-			la += c.batch - r
-		}
-		c.lookahead = la
-	} else if opt.Pool == nil {
-		if maxPar := len(points) * c.batch; workers > maxPar {
-			// One in-flight batch per point bounds useful parallelism.
-			workers = maxPar
-		}
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	// The campaign's model-sharing state (pack classes, pack memo,
-	// compiled-model cache; see models.go), plus the once-per-campaign
-	// arrival trace. Built before the first advance: in shared-pool mode
-	// enqueue submits jobs immediately, and those jobs capture it.
-	um := newUnitModels(points, modelCacheFor(opt), true)
-	defer um.closeAll()
-	c.um = um
-	if opt.Metrics != nil {
-		c.cacheStart = um.cache.Stats()
-	}
 	trace, err := loadArrivalTrace(sp)
 	if err != nil {
 		return nil, err
 	}
 
-	results := make(chan unitResult, workers)
-	// exec runs one dispatched replicate on an arena and reports back to
-	// the coordinator — the worker body of both execution modes. A job
-	// finding the campaign already canceled skips the work but still
-	// reports, so inflight accounting always drains.
-	exec := func(ws *workerState, w int, job unitJob) {
-		if canceled(opt.Cancel) {
-			results <- unitResult{point: job.point, rep: job.rep, skip: true, vals: job.buf}
-			return
-		}
-		ws.bind(opt.Metrics, w)
-		vals, err := ws.runUnit(sp, points[job.point], policies, semantics, job.rep, um, trace)
-		r := unitResult{point: job.point, rep: job.rep, err: err}
-		if err == nil {
-			// runUnit reuses its buffer; the result outlives it,
-			// so it is copied — into the job's recycled buffer
-			// when the coordinator attached one.
-			buf := job.buf
-			if cap(buf) < len(vals) {
-				buf = make([]float64, len(vals))
-			}
-			buf = buf[:len(vals)]
-			copy(buf, vals)
-			r.vals = buf
-		}
-		results <- r
+	c := &adaptiveController{
+		sp:        sp,
+		res:       res,
+		semantics: semantics,
+		trace:     trace,
+		batch:     prec.BatchSize(),
+		minReps:   prec.MinReps(),
+		maxReps:   prec.MaxReplicates,
+		conf:      prec.ConfidenceLevel(),
+		relHW:     prec.RelHalfWidth,
+		nm:        nm,
+		points:    make([]pointState, len(points)),
 	}
-	if opt.Pool != nil {
-		c.submit = func(job unitJob) {
-			opt.Pool.submit(opt.Client, func(ws *workerState, w int) { exec(ws, w, job) })
+	c.estTotal = len(points) * c.maxReps
+	for pi := range c.points {
+		c.points[pi].pending = make(map[int][]float64)
+	}
+	// One in-flight batch per point bounds useful parallelism, unless
+	// Parallel speculates past it.
+	limit := len(points) * c.batch
+	if opt.Parallel {
+		limit = math.MaxInt
+	}
+	c.driver = newDriver(opt, poolWidth(opt, limit))
+	defer c.close()
+	if opt.Parallel {
+		// Per-point mode: double-buffer the pool (a full complement of
+		// replicates in flight plus the refill queued behind them),
+		// rounded up to whole batches so speculation windows line up
+		// with stopping-rule boundaries.
+		la := 2 * c.pool.Workers()
+		if r := la % c.batch; r != 0 {
+			la += c.batch - r
 		}
+		c.lookahead = la
+	}
+
+	// The campaign's model-sharing state (pack classes, pack memo,
+	// compiled-model cache; see models.go). Built before the first
+	// advance, whose jobs capture it.
+	c.um = newUnitModels(points, modelCacheFor(opt), true)
+	defer c.um.closeAll()
+	if opt.Metrics != nil {
+		c.cacheStart = c.um.cache.Stats()
 	}
 
 	if opt.Manifest != nil {
@@ -259,8 +182,9 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 		}
 	}
 	// Replay restored prefixes through the stopping rule — resumed
-	// campaigns honor prior batches — and schedule the first live batch
-	// of every point that is not already settled.
+	// campaigns honor prior batches — and queue the first live batch of
+	// every point that is not already settled.
+	c.mu.Lock()
 	for pi := range c.points {
 		c.advance(pi)
 	}
@@ -270,139 +194,74 @@ func runAdaptive(sp scenario.Spec, opt Options, points []scenario.RunPoint, poli
 	if m := opt.Metrics; m != nil {
 		m.PointsPlanned.Set(float64(len(points)))
 	}
-	c.syncMetrics()
-
-	if opt.Pool != nil {
-		// Shared-pool mode: jobs were submitted by enqueue as advance
-		// queued them; the coordinator only folds results (each of which
-		// may submit follow-up batches through advance → enqueue).
-		var durable <-chan struct{}
-		for c.inflight > 0 || len(c.unacked) > 0 {
-			select {
-			case r := <-results:
-				if c.firstErr == nil && canceled(opt.Cancel) {
-					// Journal this result but queue nothing beyond it.
-					c.firstErr = ErrCanceled
-				}
-				c.handle(r)
-			case <-durable:
+	c.mu.Unlock()
+	if err := c.wait(func(u journaledUnit) { c.accept(u.point, u.rep, u.vals) },
+		func(u journaledUnit) { c.drop(u.point, u.vals) },
+		func(acked bool) {
+			if acked {
+				c.progress()
 			}
-			durable = c.ackJournal()
 			c.syncMetrics()
-		}
-		if c.firstErr != nil {
-			return nil, c.firstErr
-		}
-		if canceled(opt.Cancel) {
-			return nil, ErrCanceled
-		}
-		return res, nil
-	}
-
-	jobs := make(chan unitJob)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws := getWorkerState()
-			defer putWorkerState(ws)
-			for job := range jobs {
-				exec(ws, w, job)
-			}
-		}(w)
-	}
-
-	// Coordinator: interleave dispatching queued jobs with folding
-	// results until every point has stopped and nothing is in flight.
-	cancelWatch := opt.Cancel
-	var durable <-chan struct{}
-	for c.inflight > 0 || len(c.unacked) > 0 {
-		// Speculated jobs whose point has since stopped — or any queued
-		// job after an error or cancellation — are dropped here instead
-		// of dispatched: never-run replicates, not discarded results, so
-		// the output is unaffected either way.
-		for len(c.queue) > 0 && (c.points[c.queue[0].point].stopped || c.firstErr != nil) {
-			job := c.queue[0]
-			c.queue = c.queue[1:]
-			c.points[job.point].outstanding--
-			c.inflight--
-			if job.buf != nil {
-				c.free = append(c.free, job.buf)
-			}
-		}
-		if c.inflight == 0 && len(c.unacked) == 0 {
-			break
-		}
-		var dispatch chan unitJob
-		var next unitJob
-		if len(c.queue) > 0 {
-			dispatch, next = jobs, c.queue[0]
-		}
-		select {
-		case dispatch <- next:
-			c.queue = c.queue[1:]
-			continue
-		case r := <-results:
-			c.handle(r)
-		case <-durable:
-		case <-cancelWatch: // nil without Options.Cancel: never ready
-			// Stop queueing (advance checks firstErr) and let the next
-			// loop turn drop the queued remainder; in-flight units drain
-			// normally and are journaled.
-			if c.firstErr == nil {
-				c.firstErr = ErrCanceled
-			}
-			cancelWatch = nil
-			continue
-		}
-		durable = c.ackJournal()
-		c.syncMetrics()
-	}
-	c.syncMetrics() // the last turn may only have dropped queued jobs
-	close(jobs)
-	wg.Wait()
-	if c.firstErr != nil {
-		return nil, c.firstErr
-	}
-	if canceled(opt.Cancel) {
-		return nil, ErrCanceled
+		}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// handle takes one dispatched job back from a worker. A result is
-// journaled and then accepted into its point's fold — at once without a
-// synced manifest, else once the durable watermark covers its record
-// (see ackJournal). Until then the replicate stays outstanding, so the
-// point never re-queues it.
-func (c *adaptiveController) handle(r unitResult) {
-	c.inflight--
-	if r.skip || r.err != nil {
-		if r.err != nil && c.firstErr == nil {
-			c.firstErr = fmt.Errorf("campaign: point %d (x=%v) rep %d: %w",
-				r.point, c.res.Points[r.point].X, r.rep, r.err)
-		}
-		c.drop(r.point, r.vals)
+// enqueue queues one replicate as a pool job, handing it a recycled
+// metric buffer when one is free. The caller holds mu.
+func (c *adaptiveController) enqueue(pi, rep int) {
+	var buf []float64
+	if n := len(c.free); n > 0 {
+		buf, c.free = c.free[n-1], c.free[:n-1]
+	}
+	c.points[pi].outstanding++
+	c.submit(func(ws *workerState, w int) { c.exec(ws, w, pi, rep, buf) })
+}
+
+// exec runs one queued replicate on a pool worker and hands the outcome
+// to handle under mu. A job whose point stopped while it waited — queued
+// speculation the stopping rule made moot — or that finds the campaign
+// failed or canceled hands its buffer back without running: a never-run
+// replicate, not a discarded result, so the output is unaffected.
+func (c *adaptiveController) exec(ws *workerState, w, pi, rep int, buf []float64) {
+	c.mu.Lock()
+	if c.firstErr != nil || c.points[pi].stopped || canceled(c.opt.Cancel) {
+		c.drop(pi, buf)
+		c.finish()
 		return
 	}
-	if c.opt.Manifest != nil {
-		unit := r.point*c.sp.ReplicateCap() + r.rep
-		seq, acked, err := c.opt.Manifest.write("unit", manifestUnit{Unit: unit, Makespans: r.vals})
-		if err != nil {
-			if c.firstErr == nil {
-				c.firstErr = err
-			}
-			c.drop(r.point, r.vals)
-			return
-		}
-		if !acked {
-			c.unacked = append(c.unacked, journaledUnit{seq: seq, point: r.point, rep: r.rep, vals: r.vals})
-			return
-		}
+	c.mu.Unlock()
+	ws.bind(c.opt.Metrics, w)
+	vals, err := ws.runUnit(c.sp, c.res.Points[pi], c.res.Policies, c.semantics, rep, c.um, c.trace)
+	// runUnit reuses its buffer; the result outlives it, so it is copied
+	// into the job's recycled one.
+	buf = append(buf[:0], vals...)
+	c.mu.Lock()
+	c.handle(pi, rep, buf, err)
+	c.finish()
+}
+
+// handle takes one replicate's outcome back under mu. A result is
+// journaled and then accepted into its point's fold — at once without a
+// synced manifest, else once the durable watermark covers its record
+// (see driver.wait). Until then the replicate stays outstanding, so the
+// point never re-queues it.
+func (c *adaptiveController) handle(pi, rep int, vals []float64, err error) {
+	acked := false
+	if err != nil {
+		err = fmt.Errorf("campaign: point %d (x=%v) rep %d: %w", pi, c.res.Points[pi].X, rep, err)
+	} else {
+		acked, err = c.journal(journaledUnit{point: pi, rep: rep, vals: vals}, pi*c.sp.ReplicateCap()+rep)
 	}
-	c.accept(r.point, r.rep, r.vals)
-	c.progress()
+	switch {
+	case err != nil:
+		c.fail(err)
+		c.drop(pi, vals)
+	case acked:
+		c.accept(pi, rep, vals)
+		c.progress()
+	}
 }
 
 // accept settles one journaled replicate: it stops being outstanding
@@ -428,41 +287,6 @@ func (c *adaptiveController) progress() {
 	if c.opt.Progress != nil {
 		c.opt.Progress(c.done, c.estTotal)
 	}
-}
-
-// ackJournal accepts every unacknowledged replicate the journal's
-// durable watermark now covers and returns a channel that closes when
-// the watermark next moves — nil once nothing waits on it. A failed
-// fsync fails the campaign and discards the replicates it never covered:
-// they are never folded, so never reported done.
-func (c *adaptiveController) ackJournal() <-chan struct{} {
-	if len(c.unacked) == 0 {
-		return nil
-	}
-	w, advanced, err := c.opt.Manifest.watermark()
-	n := 0
-	for n < len(c.unacked) && c.unacked[n].seq <= w {
-		u := c.unacked[n]
-		c.accept(u.point, u.rep, u.vals)
-		n++
-	}
-	c.unacked = c.unacked[:copy(c.unacked, c.unacked[n:])]
-	if n > 0 {
-		c.progress()
-	}
-	if err != nil {
-		if c.firstErr == nil {
-			c.firstErr = err
-		}
-		for _, u := range c.unacked {
-			c.drop(u.point, u.vals)
-		}
-		c.unacked = c.unacked[:0]
-	}
-	if len(c.unacked) == 0 {
-		return nil
-	}
-	return advanced
 }
 
 // advance folds the point's contiguous pending replicates, evaluates the
@@ -560,25 +384,9 @@ func (c *adaptiveController) closeGroups(pi int) {
 	c.um.closeBelow(share, f)
 }
 
-// enqueue queues one replicate, handing it a recycled metric buffer when
-// one is free.
-func (c *adaptiveController) enqueue(pi, rep int) {
-	job := unitJob{point: pi, rep: rep}
-	if n := len(c.free); n > 0 {
-		job.buf, c.free = c.free[n-1], c.free[:n-1]
-	}
-	c.points[pi].outstanding++
-	c.inflight++
-	if c.submit != nil {
-		c.submit(job)
-		return
-	}
-	c.queue = append(c.queue, job)
-}
-
 // syncMetrics mirrors the controller's progress state into the attached
-// telemetry campaign. Only the coordinating goroutine calls it, so plain
-// gauge stores suffice.
+// telemetry campaign. Its caller holds mu, so plain gauge stores
+// suffice.
 func (c *adaptiveController) syncMetrics() {
 	m := c.opt.Metrics
 	if m == nil {

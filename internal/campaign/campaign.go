@@ -19,8 +19,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"iter"
 	"math"
-	"runtime"
 	"sync"
 	"time"
 
@@ -95,18 +95,21 @@ func loadArrivalTrace(sp scenario.Spec) ([]workload.TraceArrival, error) {
 
 // Options tunes a campaign execution.
 type Options struct {
-	// Workers bounds unit parallelism; 0 means GOMAXPROCS.
+	// Workers is the width of the private Pool a Run builds when Pool
+	// is nil; 0 means GOMAXPROCS. A Run never builds it wider than the
+	// units that can run at once: the unit count of a fixed campaign,
+	// points × batch for an adaptive one without Parallel.
 	Workers int
 	// Parallel enables the per-point parallel mode: a single grid
 	// point's replicate range is sharded across the whole worker pool
 	// even when the adaptive controller would otherwise keep only one
 	// batch in flight. Fixed-replicate campaigns already shard every
-	// point's replicate range (the unit queue holds every (point,
-	// replicate) unit, replicate-major within a pack class, see
-	// unitModels.dispatch), so the flag only changes adaptive
-	// scheduling: the controller speculatively queues replicates past
-	// the current batch boundary, and results that arrive after the
-	// stopping rule fires are discarded unfolded. Replicate seeds derive
+	// point's replicate range (every (point, replicate) unit goes to the
+	// pool, replicate-major within a pack class, see unitModels.units),
+	// so the flag only changes adaptive scheduling: the controller
+	// speculatively queues replicates past the current batch boundary,
+	// and results that arrive after the stopping rule fires are
+	// discarded unfolded. Replicate seeds derive
 	// from (point, replicate) alone — the CRN sub-seed discipline — and
 	// folding order and stopping decisions are pure functions of the
 	// folded prefix, so output is byte-identical to sequential for any
@@ -126,15 +129,15 @@ type Options struct {
 	Manifest *Manifest
 	// Metrics, when non-nil, receives live telemetry: per-worker unit
 	// and simulator counters (sharded, merged only at snapshot time) and
-	// the coordinator's progress gauges. Results are byte-identical with
+	// the run's progress gauges. Results are byte-identical with
 	// or without it — telemetry is a pure side channel.
 	Metrics *obs.Campaign
-	// Pool, when non-nil, executes the campaign's units on a shared
-	// worker pool instead of a private worker set, interleaved fairly
-	// with every other campaign targeting the same pool (Workers is
-	// ignored; the pool's width rules). Unit seeds derive from (spec,
-	// point, replicate) alone and results fold by unit index, so output
-	// is byte-identical to a private-pool run.
+	// Pool, when non-nil, is the shared worker pool the campaign's units
+	// run on, interleaved fairly with every other campaign targeting it
+	// (Workers is ignored; the pool's width rules). When nil, Run builds
+	// a private Pool and closes it before returning. Unit seeds derive
+	// from (spec, point, replicate) alone and results fold by unit index,
+	// so output is byte-identical either way.
 	Pool *Pool
 	// Client tags the campaign's queue on a shared Pool for per-client
 	// fair scheduling. Ignored without Pool; "" is a valid shared key.
@@ -182,6 +185,12 @@ type Result struct {
 	cells    [][]cellState
 	adaptive bool
 }
+
+// dispatchWindow is how many units per pool worker a fixed Run keeps
+// queued ahead of the workers: enough that no worker idles between a
+// finished unit and its successor, few enough that the replicate groups
+// opened ahead of execution stay a handful.
+const dispatchWindow = 2
 
 // onlineUnit is one replicate's online metric vector (metric indices
 // MetricResponse.. shifted down by one; the makespan lives in Makespans).
@@ -255,20 +264,17 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 		cacheStart = um.cache.Stats()
 	}
 
-	var mu sync.Mutex // guards done, firstErr, unacked, manifest writes, Progress calls
-	var firstErr error
-	// unacked holds, in journal order, the sequence numbers of folded
-	// units whose records no fsync has covered yet. A unit counts as
-	// done — in done, Progress and telemetry — only once it is durable.
-	var unacked []uint64
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// report publishes done; the caller holds mu.
+	// Units run as jobs on the pool, fold and journal under d.mu on their
+	// worker, and each finished job queues the next unit group-major (see
+	// unitModels.units), keeping a window of dispatchWindow × width units
+	// queued: only the few replicate groups near the head of the order
+	// are open and pin tables, however many units the campaign has.
+	d := newDriver(opt, poolWidth(opt, total))
+	defer d.close()
+	next, stop := iter.Pull(um.units(sp.Replicates, restored))
+	defer stop()
+	// report publishes done; the caller holds d.mu. A unit counts as done
+	// — in done, Progress and telemetry — only once it is durable.
 	report := func() {
 		if m := opt.Metrics; m != nil {
 			m.UnitsDone.Set(float64(done))
@@ -279,147 +285,55 @@ func Run(sp scenario.Spec, opt Options) (*Result, error) {
 			opt.Progress(done, total)
 		}
 	}
-	// runOne executes one unit on the given arena, folds its values into
-	// the result and journals them under mu — the shared body of both
-	// execution modes. It never waits for an fsync.
-	runOne := func(ws *workerState, unit int) {
-		pi, rep := unit/sp.Replicates, unit%sp.Replicates
-		vals, err := ws.runUnit(sp, points[pi], policies, semantics, rep, um, trace)
-		um.finish(pi, rep)
-		if err != nil {
-			fail(fmt.Errorf("campaign: point %d (x=%v) rep %d: %w", pi, points[pi].X, rep, err))
+	// submitNext queues the next unit, if any, unless the campaign was
+	// canceled. A unit error does not stop dispatch: the rest still run
+	// and journal. The caller holds d.mu.
+	var submitNext func()
+	submitNext = func() {
+		if canceled(opt.Cancel) {
 			return
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		asm.Fold(unit, vals)
-		if opt.Manifest != nil {
-			seq, acked, err := opt.Manifest.write("unit", manifestUnit{Unit: unit, Makespans: vals})
+		unit, ok := next()
+		if !ok {
+			return
+		}
+		d.submit(func(ws *workerState, w int) {
+			if canceled(opt.Cancel) {
+				d.mu.Lock()
+				d.finish()
+				return
+			}
+			pi, rep := unit/sp.Replicates, unit%sp.Replicates
+			ws.bind(opt.Metrics, w)
+			vals, err := ws.runUnit(sp, points[pi], policies, semantics, rep, um, trace)
+			um.finish(pi, rep)
+			d.mu.Lock()
 			if err != nil {
-				if firstErr == nil {
-					firstErr = err
+				d.fail(fmt.Errorf("campaign: point %d (x=%v) rep %d: %w", pi, points[pi].X, rep, err))
+			} else {
+				asm.Fold(unit, vals)
+				if acked, err := d.journal(journaledUnit{vals: vals}, unit); err != nil {
+					d.fail(err)
+				} else if acked {
+					done++
+					report()
 				}
-				return
 			}
-			if !acked {
-				unacked = append(unacked, seq)
-				return
-			}
-		}
-		done++
-		report()
+			submitNext()
+			d.finish()
+		})
 	}
-	// ack counts every unacknowledged unit the watermark w covers as
-	// done; err is a failed fsync, which fails the campaign.
-	ack := func(w uint64, err error) {
-		mu.Lock()
-		defer mu.Unlock()
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		n := 0
-		for n < len(unacked) && unacked[n] <= w {
-			n++
-		}
-		if n > 0 {
-			unacked = unacked[:copy(unacked, unacked[n:])]
-			done += n
+	d.mu.Lock()
+	for i := 0; i < dispatchWindow*d.pool.Workers(); i++ {
+		submitNext()
+	}
+	d.mu.Unlock()
+	if err := d.wait(func(journaledUnit) { done++ }, func(journaledUnit) {}, func(acked bool) {
+		if acked {
 			report()
 		}
-	}
-	// wait blocks until every unit job returned. With a synced manifest
-	// it acknowledges units as the durable watermark advances meanwhile,
-	// and then flushes, so Run returns only once every journaled unit is
-	// durable or an fsync failed.
-	wait := func(wg *sync.WaitGroup) {
-		if opt.Manifest == nil || !opt.Manifest.synced() {
-			wg.Wait()
-			return
-		}
-		finished := make(chan struct{})
-		go func() {
-			wg.Wait()
-			close(finished)
-		}()
-	watch:
-		for {
-			w, advanced, err := opt.Manifest.watermark()
-			ack(w, err)
-			select {
-			case <-advanced:
-			case <-finished:
-				break watch
-			}
-		}
-		ack(opt.Manifest.flush())
-	}
-
-	// Units go out group-major (see unitModels.dispatch), so only the few
-	// replicate groups the workers are currently on pin their tables.
-	if opt.Pool != nil {
-		// Shared-pool mode: every unit becomes one fair-scheduled job on
-		// the client's queue. The pool interleaves campaigns at unit
-		// granularity; folding is by unit index, so output is identical.
-		var wg sync.WaitGroup
-		um.dispatch(sp.Replicates, restored, func(unit int) bool {
-			if canceled(opt.Cancel) {
-				return false
-			}
-			wg.Add(1)
-			opt.Pool.submit(opt.Client, func(ws *workerState, w int) {
-				defer wg.Done()
-				if canceled(opt.Cancel) {
-					return
-				}
-				ws.bind(opt.Metrics, w)
-				runOne(ws, unit)
-			})
-			return true
-		})
-		wait(&wg)
-	} else {
-		workers := opt.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > total {
-			workers = total
-		}
-		units := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				// One simulation arena per worker: every unit resets it in
-				// place, so the hot loop stops allocating after the first
-				// few units warm the buffers up. Arenas are pooled across
-				// campaign executions, so back-to-back Runs reuse warm
-				// buffers too.
-				ws := getWorkerState()
-				defer putWorkerState(ws)
-				ws.bind(opt.Metrics, w)
-				for unit := range units {
-					runOne(ws, unit)
-				}
-			}(w)
-		}
-		um.dispatch(sp.Replicates, restored, func(unit int) bool {
-			select {
-			case units <- unit:
-				return true
-			case <-opt.Cancel: // nil without Options.Cancel: never ready
-				return false
-			}
-		})
-		close(units)
-		wait(&wg)
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if canceled(opt.Cancel) {
-		return nil, ErrCanceled
+	}); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -486,21 +400,16 @@ func putWorkerState(ws *workerState) {
 	workerStatePool.Put(ws)
 }
 
-// attach binds this worker to its telemetry shard.
-func (ws *workerState) attach(sh *obs.WorkerShard) {
-	ws.shard = sh
-	ws.observer = &sh.Sim
-}
-
 // bind attaches the arena to campaign telemetry m's shard w, or
-// detaches it when m is nil. Shared-pool workers serve many campaigns
-// with different telemetry roots, so every job rebinds its arena.
+// detaches it when m is nil. Pool workers serve many campaigns with
+// different telemetry roots, so every job rebinds its arena.
 func (ws *workerState) bind(m *obs.Campaign, w int) {
 	if m == nil {
 		ws.shard, ws.observer = nil, nil
 		return
 	}
-	ws.attach(m.Shard(w))
+	ws.shard = m.Shard(w)
+	ws.observer = &ws.shard.Sim
 }
 
 // runUnit executes every policy of one (point, replicate) cell on the

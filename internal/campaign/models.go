@@ -10,6 +10,7 @@
 package campaign
 
 import (
+	"iter"
 	"os"
 	"sync"
 
@@ -337,36 +338,38 @@ func (um *unitModels) closeLocked(key groupKey, g *repGroup) {
 	}
 }
 
-// dispatch hands every unrestored unit of a fixed campaign (reps
-// replicates per point) to send, group-major: pack class by pack class,
+// units yields every unrestored unit of a fixed campaign (reps
+// replicates per point) group-major: pack class by pack class,
 // replicate-major within one, so only a few groups are open at once.
 // The share classes' groups of one replicate are opened together, with
-// their unit counts, before their first unit is sent, so they draw the
-// replicate's pack once. dispatch stops early when send returns false.
-func (um *unitModels) dispatch(reps int, restored []bool, send func(unit int) bool) {
-	classShares := make([][]int, len(um.members))
-	for s, points := range um.members {
-		if points != nil {
-			classShares[um.classes[s]] = append(classShares[um.classes[s]], s)
+// their unit counts, before their first unit is yielded, so they draw
+// the replicate's pack once.
+func (um *unitModels) units(reps int, restored []bool) iter.Seq[int] {
+	return func(yield func(unit int) bool) {
+		classShares := make([][]int, len(um.members))
+		for s, points := range um.members {
+			if points != nil {
+				classShares[um.classes[s]] = append(classShares[um.classes[s]], s)
+			}
 		}
-	}
-	for _, shares := range classShares {
-		for rep := 0; rep < reps; rep++ {
-			for _, s := range shares {
-				n := 0
-				for _, pi := range um.members[s] {
-					if !restored[pi*reps+rep] {
-						n++
+		for _, shares := range classShares {
+			for rep := 0; rep < reps; rep++ {
+				for _, s := range shares {
+					n := 0
+					for _, pi := range um.members[s] {
+						if !restored[pi*reps+rep] {
+							n++
+						}
+					}
+					if n > 0 {
+						um.expect(s, rep, n)
 					}
 				}
-				if n > 0 {
-					um.expect(s, rep, n)
-				}
-			}
-			for _, s := range shares {
-				for _, pi := range um.members[s] {
-					if unit := pi*reps + rep; !restored[unit] && !send(unit) {
-						return
+				for _, s := range shares {
+					for _, pi := range um.members[s] {
+						if unit := pi*reps + rep; !restored[unit] && !yield(unit) {
+							return
+						}
 					}
 				}
 			}

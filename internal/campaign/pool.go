@@ -17,8 +17,10 @@ var ErrCanceled = errors.New("campaign: canceled")
 // telemetry shard claiming).
 type poolJob func(ws *workerState, w int)
 
-// Pool is a shared, bounded worker pool that any number of concurrent
-// campaign Runs can target through Options.Pool. Each submitting client
+// Pool is the bounded worker pool every in-process campaign executes
+// on: a daemon shares one across all its campaigns through Options.Pool,
+// and a Run without one builds a private Pool for its own duration.
+// Each submitting client
 // owns a FIFO queue; workers take the next job round-robin across the
 // clients that currently have queued work, so one huge campaign cannot
 // starve a small one — fair scheduling at unit granularity, in the
@@ -27,10 +29,10 @@ type poolJob func(ws *workerState, w int)
 // campaign determinism contract needs: results fold by unit index, not
 // by completion order, so interleaving never changes output.
 //
-// Each worker goroutine holds one persistent workerState arena (the
-// same pooling discipline as a private campaign worker set), so a
-// long-lived daemon keeps its warmed-up simulation buffers across
-// campaigns.
+// Each worker goroutine holds one persistent workerState arena, taken
+// from the process-wide arena pool, so a long-lived daemon keeps its
+// warmed-up simulation buffers across campaigns and back-to-back private
+// Runs reuse them too.
 type Pool struct {
 	workers int
 
@@ -129,5 +131,146 @@ func canceled(ch <-chan struct{}) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// poolWidth is the width of a Run's private Pool: Options.Workers, else
+// GOMAXPROCS, at most limit (the units that could ever run at once) and
+// at least one.
+func poolWidth(opt Options, limit int) int {
+	w := opt.Workers
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(w, limit))
+}
+
+// driver is the execution loop both campaign modes share. Units run as
+// jobs on a Pool — Options.Pool, or a private one the Run closes on
+// return. A job folds and journals its own result, and queues whatever
+// work follows from it, under mu on the worker that ran it, so no
+// coordinator goroutine sits between a finished unit and its fold. The
+// calling goroutine only acknowledges journaled units as the manifest's
+// durable watermark covers them (wait).
+type driver struct {
+	opt     Options
+	pool    *Pool
+	private bool // pool belongs to this Run: close stops it
+
+	mu       sync.Mutex
+	inflight int             // submitted jobs not yet finished
+	unacked  []journaledUnit // journaled units no fsync covered yet, in journal order
+	firstErr error
+	wake     chan struct{} // capacity 1: a job finished
+}
+
+// journaledUnit is a completed unit waiting for the journal's durable
+// watermark to reach its record's sequence number. point, rep and vals
+// feed the adaptive fold; a fixed run folded the unit before journaling
+// it and only counts it once durable.
+type journaledUnit struct {
+	seq        uint64
+	point, rep int
+	vals       []float64
+}
+
+// newDriver targets opt.Pool, or a private pool of the given width.
+func newDriver(opt Options, width int) *driver {
+	d := &driver{opt: opt, pool: opt.Pool, wake: make(chan struct{}, 1)}
+	if d.pool == nil {
+		d.pool, d.private = NewPool(width), true
+	}
+	return d
+}
+
+// close stops a private pool. Run defers it, after wait drained every
+// job or before any was submitted.
+func (d *driver) close() {
+	if d.private {
+		d.pool.Close()
+	}
+}
+
+// fail records the campaign's first error. The caller holds mu.
+func (d *driver) fail(err error) {
+	if d.firstErr == nil {
+		d.firstErr = err
+	}
+}
+
+// submit queues one job on the pool. The caller holds mu; the job ends
+// by taking mu and calling finish.
+func (d *driver) submit(job poolJob) {
+	d.inflight++
+	d.pool.submit(d.opt.Client, job)
+}
+
+// finish counts one job out, releases mu (which the job holds) and wakes
+// the waiting caller.
+func (d *driver) finish() {
+	d.inflight--
+	d.mu.Unlock()
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
+}
+
+// journal appends one finished unit's record (u.vals) under mu. acked
+// reports whether the unit counts as done now; one a synced manifest
+// has not made durable yet joins unacked instead.
+func (d *driver) journal(u journaledUnit, unit int) (acked bool, err error) {
+	if d.opt.Manifest == nil {
+		return true, nil
+	}
+	u.seq, acked, err = d.opt.Manifest.write("unit", manifestUnit{Unit: unit, Makespans: u.vals})
+	if err == nil && !acked {
+		d.unacked = append(d.unacked, u)
+	}
+	return acked, err
+}
+
+// wait runs on the calling goroutine until no job is in flight and no
+// unit is unacknowledged. Each turn, under mu, it turns a closed Cancel
+// into ErrCanceled, passes every unit the durable watermark now covers
+// to accept (a failed fsync fails the campaign and passes the rest to
+// drop instead: they never count as done), and calls report with
+// whether anything was accepted. It returns the campaign's error.
+func (d *driver) wait(accept, drop func(journaledUnit), report func(acked bool)) error {
+	for {
+		d.mu.Lock()
+		if canceled(d.opt.Cancel) {
+			d.fail(ErrCanceled)
+		}
+		var durable <-chan struct{}
+		n := 0
+		if len(d.unacked) > 0 {
+			w, advanced, err := d.opt.Manifest.watermark()
+			for n < len(d.unacked) && d.unacked[n].seq <= w {
+				accept(d.unacked[n])
+				n++
+			}
+			d.unacked = d.unacked[:copy(d.unacked, d.unacked[n:])]
+			if err != nil {
+				d.fail(err)
+				for _, u := range d.unacked {
+					drop(u)
+				}
+				d.unacked = d.unacked[:0]
+			}
+			if len(d.unacked) > 0 {
+				durable = advanced
+			}
+		}
+		report(n > 0)
+		idle, err := d.inflight == 0 && len(d.unacked) == 0, d.firstErr
+		d.mu.Unlock()
+		if idle {
+			return err
+		}
+		select {
+		case <-d.wake:
+		case <-durable:
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"cosched/internal/model"
 	"cosched/internal/obs"
 )
 
@@ -222,5 +223,33 @@ func TestCancelThenResume(t *testing.T) {
 				t.Fatalf("resume re-ran everything (%d executed of %d): nothing was journaled before cancel", executed, res.Units())
 			}
 		})
+	}
+}
+
+// TestPoolOpenGroupsBounded checks that a fixed campaign on a shared
+// Pool opens replicate groups only as it reaches them: units are handed
+// to the pool a small window at a time, group-major, so the groups open
+// at any moment stay within a small multiple of the pool width times
+// the share classes, however many replicates the campaign has.
+func TestPoolOpenGroupsBounded(t *testing.T) {
+	const width, shares = 2, 3 // exampleGridSpec: three platform sizes, one pack class
+	sp := exampleGridSpec()
+	sp.Replicates = 300
+	cache := model.NewCache(0)
+	pool := NewPool(width)
+	defer pool.Close()
+	var peak int64
+	_, err := Run(sp, Options{Pool: pool, Client: "c", ModelCache: cache, Progress: func(done, total int) {
+		peak = max(peak, cache.Stats().OpenGroups)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("peak open groups %d", peak)
+	if limit := int64(2 * width * shares); peak > limit {
+		t.Fatalf("%d replicate groups open at once, want at most %d", peak, limit)
+	}
+	if s := cache.Stats(); s.OpenGroups != 0 {
+		t.Fatalf("%d groups still open after Run", s.OpenGroups)
 	}
 }

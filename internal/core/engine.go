@@ -22,7 +22,6 @@ type taskState struct {
 	tlastR  float64 // time the current segment starts computing
 	tU      float64 // expected finish time tU_i = tlastR + t^R_{i,σ}(α)
 	end     float64 // scheduled end-event time (tU or fault-free finish)
-	endVer  uint64  // end-event version for logical cancellation
 	done    bool
 	waiting bool    // submitted, not yet admitted (online mode)
 	arrive  float64 // submission time (0 for the base pack)
@@ -409,7 +408,10 @@ func (e *Simulator) Run() (Result, error) {
 		if e.ctr.Events >= e.opt.MaxEvents {
 			return Result{}, fmt.Errorf("core: aborted after %d events (divergent configuration?)", e.ctr.Events)
 		}
-		ev, ok := e.peekValid()
+		// Every queued task-end event is current: scheduleEnd replaces a
+		// task's event in place and finalize removes it, so there is
+		// nothing stale to skip. A submit event's Task is an arrival index.
+		ev, ok := e.q.Peek()
 		if !ok {
 			return Result{}, fmt.Errorf("core: no pending event with %d live and %d waiting tasks", e.live, e.waiting())
 		}
@@ -478,16 +480,6 @@ func (e *Simulator) pullFault() {
 	e.next, e.have = e.src.Next()
 }
 
-// peekValid returns the earliest queued event. Every queued task-end
-// event is current: scheduleEnd replaces a task's event in place
-// (Queue.UpdateTask) and finalize removes it (Queue.RemoveTask), so the
-// queue holds at most one live end event per task and there is nothing
-// stale to discard. Submit events are always valid; their Task field is
-// an arrival index, not a task index.
-func (e *Simulator) peekValid() (sim.Event, bool) {
-	return e.q.Peek()
-}
-
 // scheduleEnd recomputes task i's end-event time from its current state
 // and replaces the task's queued end event in place.
 func (e *Simulator) scheduleEnd(i int) {
@@ -498,8 +490,7 @@ func (e *Simulator) scheduleEnd(i int) {
 	default:
 		s.end = s.tU
 	}
-	s.endVer++
-	e.q.UpdateTask(sim.Event{Time: s.end, Kind: sim.KindTaskEnd, Task: i, Version: s.endVer})
+	e.q.UpdateTask(sim.Event{Time: s.end, Kind: sim.KindTaskEnd, Task: i})
 }
 
 // finalize marks task i finished at time t and releases its processors.

@@ -120,7 +120,11 @@ type workerConn struct {
 	alive   bool
 	ready   bool
 	retired bool
-	lease   int // live lease ID, or -1
+	// killed marks a worker the chaos hook killed: whatever it had
+	// already sent is dropped until its death event, so its lease
+	// expires through handleDeath like any other lost worker's.
+	killed bool
+	lease  int // live lease ID, or -1
 	// fails counts consecutive attempts that never produced a ready
 	// worker; reset by ready, it bounds the respawn loop for seats that
 	// cannot start (bad binary, exec failure).
@@ -316,7 +320,7 @@ func (c *coordinator) spawn(slot int) {
 	}
 	w.proc = proc
 	w.out = newMsgWriter(proc.In)
-	w.alive, w.ready, w.lease = true, false, -1
+	w.alive, w.ready, w.killed, w.lease = true, false, false, -1
 	c.liveCount++
 	if m := c.opt.Metrics; m != nil {
 		m.Dist.WorkersSpawned.Inc()
@@ -373,8 +377,10 @@ func (c *coordinator) handleEvent(ev event) {
 		c.handleDeath(w)
 		return
 	}
-	if !w.alive {
-		return // message raced past a death already handled
+	if !w.alive || w.killed {
+		// The message raced past a death already handled, or comes from
+		// a killed worker whose death event is still on its way.
+		return
 	}
 	switch ev.msg.Type {
 	case "ready":
@@ -425,6 +431,7 @@ func (c *coordinator) handleResult(w *workerConn, m workMsg) {
 		// Chaos hook: the worker dies as if the kill landed mid-send;
 		// the discarded result is recomputed under a new lease.
 		c.chaosFired = true
+		w.killed = true
 		c.opt.Logf("dist: chaos: killing worker %d at unit %d", w.slot, m.Unit)
 		w.proc.Kill()
 		return

@@ -111,6 +111,117 @@ func TestRedistCostShrink(t *testing.T) {
 	}
 }
 
+// konigRounds is an independent oracle for the round factor of Eq. (9).
+// Moving a task from j to k processors sends data along every edge of
+// the complete bipartite graph between the processors that hand data
+// out (the leaving ones on a shrink, the original j on a grow) and the
+// ones that take it in (the newcomers, or the keepers); each edge
+// carries m/(j·k). One processor drives one transfer per round, so a
+// round schedule is a proper edge colouring. konigRounds builds one
+// explicitly, edge (u, v) coloured (u+v) mod Δ with Δ the larger side,
+// fails the test unless it is proper and uses exactly Δ colours —
+// optimal by König's theorem, since Δ is the maximum degree — and
+// returns the number of rounds (0 when j = k).
+func konigRounds(t *testing.T, j, k int) int {
+	t.Helper()
+	if j == k {
+		return 0
+	}
+	senders, receivers := j, k-j // grow: the j originals feed the newcomers
+	if k < j {
+		senders, receivers = j-k, k // shrink: the leavers feed the keepers
+	}
+	delta := max(senders, receivers) // maximum degree of the graph
+	sendRound := make([]map[int]bool, senders)
+	recvRound := make([]map[int]bool, receivers)
+	for u := range sendRound {
+		sendRound[u] = map[int]bool{}
+	}
+	for v := range recvRound {
+		recvRound[v] = map[int]bool{}
+	}
+	colours := map[int]bool{}
+	for u := 0; u < senders; u++ {
+		for v := 0; v < receivers; v++ {
+			c := (u + v) % delta
+			if sendRound[u][c] || recvRound[v][c] {
+				t.Fatalf("%d→%d: edge (%d,%d) reuses round %d at an endpoint", j, k, u, v, c)
+			}
+			sendRound[u][c], recvRound[v][c] = true, true
+			colours[c] = true
+		}
+	}
+	if len(colours) != delta {
+		t.Fatalf("%d→%d: colouring uses %d rounds, max degree %d", j, k, len(colours), delta)
+	}
+	return delta
+}
+
+// TestColoringProperRandom checks the explicit colouring on random
+// bipartite sizes: it is always proper and uses exactly Δ rounds.
+func TestColoringProperRandom(t *testing.T) {
+	err := quick.Check(func(jRaw, kRaw uint8) bool {
+		j, k := int(jRaw%24)+1, int(kRaw%24)+1
+		return j == k || konigRounds(t, j, k) == max(min(j, k), abs(k-j))
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoundCountCases checks that the colouring's round count is the
+// Eq. (9) factor max(min(j,k), |k−j|), on the paper's Figure 3 example,
+// hand-picked grows and shrinks, and every size pair up to 12.
+func TestRoundCountCases(t *testing.T) {
+	cases := []struct{ j, k, want int }{
+		{4, 6, 4}, // Figure 3 of the paper
+		{2, 4, 2},
+		{2, 10, 8},
+		{10, 12, 10},
+		{6, 2, 4},  // shrink: max(min(6,2), 4)
+		{12, 4, 8}, // shrink: max(4, 8)
+		{4, 4, 0},
+	}
+	for _, c := range cases {
+		if got := konigRounds(t, c.j, c.k); got != c.want {
+			t.Fatalf("%d→%d: %d rounds, want %d", c.j, c.k, got, c.want)
+		}
+	}
+	for j := 1; j <= 12; j++ {
+		for k := 1; k <= 12; k++ {
+			want := max(min(j, k), abs(k-j))
+			if j == k {
+				want = 0
+			}
+			if got := konigRounds(t, j, k); got != want {
+				t.Fatalf("%d→%d: %d rounds, Eq. (9) factor %d", j, k, got, want)
+			}
+		}
+	}
+}
+
+// TestCostMatchesModel checks that RedistCost equals the colouring's
+// rounds times the per-edge volume m/(j·k), bit for bit.
+func TestCostMatchesModel(t *testing.T) {
+	for _, m := range []float64{1, 37, 1e6} {
+		for j := 1; j <= 12; j++ {
+			for k := 1; k <= 12; k++ {
+				rounds := konigRounds(t, j, k)
+				if got, want := RedistCost(m, j, k), float64(rounds)*(m/float64(j)/float64(k)); got != want {
+					t.Fatalf("RC(%v, %d→%d) = %v, colouring gives %v", m, j, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
+}
+
 func TestRedistCostEq7MatchesEq9OnGrow(t *testing.T) {
 	// For k > j, Eq. (7) max(j, k−j)·(1/k)·(m/j) equals Eq. (9).
 	for j := 2; j <= 12; j += 2 {

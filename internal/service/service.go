@@ -32,6 +32,7 @@ import (
 	"cosched/internal/clock"
 	"cosched/internal/dist"
 	"cosched/internal/obs"
+	"cosched/internal/retry"
 	"cosched/internal/scenario"
 )
 
@@ -221,7 +222,7 @@ func (r *run) requestCancel(user bool) {
 type Server struct {
 	cfg     Config
 	pool    *campaign.Pool
-	backoff *Backoff
+	backoff *retry.Backoff
 	slots   chan struct{} // execution-slot semaphore (MaxActive)
 	quit    chan struct{}
 
@@ -243,7 +244,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		pool:     campaign.NewPool(cfg.Workers),
-		backoff:  NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Clock),
+		backoff:  retry.NewBackoff(cfg.BackoffBase, cfg.BackoffMax, cfg.Clock),
 		slots:    make(chan struct{}, cfg.MaxActive),
 		quit:     make(chan struct{}),
 		runs:     map[string]*run{},
